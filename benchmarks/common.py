@@ -117,9 +117,9 @@ def bytes_by_layer(world: World) -> dict[str, int]:
 def bytes_by_node(world: World) -> dict[str, int]:
     """Per-sender wire bytes (``net.bytes.sent.<pid>``).
 
-    The fairness half of the wire cost model: the aggregate byte count
-    cannot show whether the load sits on one NIC (flood origin) or is
-    balanced around a dissemination ring/tree.
+    Per-process observability for the wire cost model: the aggregate
+    byte count cannot show which process's NIC carried the load (e.g. a
+    flood origin sending every payload copy).
     """
     return dict(world.metrics.counters.by_prefix("net.bytes.sent."))
 

@@ -57,7 +57,6 @@ for entry in (str(_HERE), str(_HERE.parent / "src")):
 
 from common import (  # noqa: E402
     bytes_by_layer,
-    bytes_by_node,
     per_delivery_messages,
     sent_by_layer,
     teardown_leaks,
@@ -79,13 +78,9 @@ from repro.sim.world import World  # noqa: E402
 #: counters, consensus msgs and propose→decide delay per decide) and
 #: ``--check`` applies a one-sided latency rule: any ``latency_ms``
 #: figure may improve freely but must not regress more than 10%.
-#: v6: the ``dissemination_sweep`` scenario runs the 4 KiB single-origin
-#: workload with the bandwidth term enabled under ``flood`` vs ``ring``
-#: vs ``tree`` payload routing, each run carrying a ``node_bytes`` block
-#: (per-node sent bytes, ``max_node_bytes_per_delivery``, fairness
-#: ratio, origin-over-mean); scenarios may attach a ``shape_detail``
-#: block (measured value + bound per shape flag, informational) that
-#: ``--check`` quotes when a flag fails.
+#: v6: scenarios may attach a ``shape_detail`` block (measured value +
+#: bound per shape flag, informational) that ``--check`` quotes when a
+#: flag fails.
 SCHEMA = "bench-abgb/v6"
 
 #: Worlds the current scenario wants exported/verified by the ``--trace-dir``
@@ -116,20 +111,6 @@ FD_W1_BOUND = 0.9
 #: headroom for id-vector/batching drift but fails loudly if payload
 #: bodies ever leak back into proposals.
 CONSENSUS_BYTES_4K_BOUND = 500.0
-
-#: Hard ceiling on the *origin's* share of dissemination wire cost under
-#: ring routing: the origin's sent bytes per delivery must stay within
-#: this factor of the per-node mean (a flood origin sits at ~n−1× the
-#: mean — its NIC carries every payload copy; a ring origin sends each
-#: body once, like everyone else).
-RING_ORIGIN_BALANCE_BOUND = 2.0
-
-#: One-sided throughput rule for the dissemination sweep: with the
-#: bandwidth term *disabled*, ring dissemination must drain the workload
-#: at no less than this fraction of flood's throughput — the overlay
-#: trades origin fan-out for hop latency, and ordering (id-only, decoupled
-#: from dissemination) must hide those hops from end-to-end throughput.
-DISSEMINATION_THROUGHPUT_FLOOR = 0.90
 
 
 # ----------------------------------------------------------------------
@@ -608,160 +589,12 @@ def scenario_payload_sweep() -> dict:
     }
 
 
-def run_dissemination(
-    policy: str,
-    bandwidth: float | None,
-    seed: int = 29,
-    count: int = 5,
-    rounds: int = 100,
-    payload_bytes: int = 4096,
-    label: str | None = None,
-) -> dict:
-    """Single-origin 4 KiB workload for the dissemination sweep.
-
-    One member (p00) broadcasts every message — the worst case for flood
-    dissemination, whose origin unicasts each body to all n−1 members —
-    so the per-node sent-byte skew is the thing being measured, not
-    averaged away by staggered senders.  ``bandwidth`` enables the
-    ``LinkModel.bytes_per_ms`` term so the serialisation cost of the 4 KiB
-    bodies is part of the schedule, exactly the regime where balancing
-    the origin's NIC pays.
-    """
-    config = StackConfig(
-        abcast_window=4, abcast_max_batch=4, dissemination=policy, **PERF_KNOBS
-    )
-    world = World(seed=seed, default_link=LinkModel(3.0, 8.0, bytes_per_ms=bandwidth))
-    stacks = build_new_group(world, count, config=config)
-    world.start()
-    proc = stacks["p00"].process
-    for i in range(rounds):
-
-        def send(s=stacks["p00"], p=proc, i=i):
-            s.abcast.abcast(p.msg_ids.message((f"p00:{i}", Blob(payload_bytes))))
-
-        world.scheduler.at(float(5 * i), send)
-    app = lambda s: [m for m in s.abcast.delivered_log if not m.msg_class.startswith("_")]
-    ok = world.run_until(
-        lambda: all(len(app(s)) == rounds for s in stacks.values()), timeout=120_000
-    )
-    assert ok, f"dissemination workload ({policy}) did not drain"
-    leaked = teardown_leaks(world)
-    delivered = rounds * count
-    metrics = world_metrics(world, delivered=delivered, leaked=leaked)
-    counters = world.metrics.counters
-    per_node = bytes_by_node(world)
-    per_delivery = {pid: per_node.get(pid, 0) / delivered for pid in sorted(stacks)}
-    mean = sum(per_delivery.values()) / len(per_delivery)
-    peak = max(per_delivery.values())
-    origin = per_delivery["p00"]
-    metrics["node_bytes"] = {
-        "per_delivery": {pid: _round(v) for pid, v in per_delivery.items()},
-        "max_node_bytes_per_delivery": _round(peak),
-        "mean_node_bytes_per_delivery": _round(mean),
-        "fairness_ratio": _round(peak / mean if mean else math.nan, 3),
-        "origin_bytes_per_delivery": _round(origin),
-        "origin_over_mean": _round(origin / mean if mean else math.nan, 3),
-    }
-    metrics["rb"] = {
-        "forwarded": counters.get("rb.forwarded"),
-        "reroutes": counters.get("rb.reroutes"),
-        "suspect_floods": counters.get("rb.suspect_floods"),
-    }
-    metrics["decision_path"] = decision_path_block(world, stacks)
-    TRACE_WORLDS.append((label or f"dissemination_{policy}", world))
-    return metrics
-
-
-def scenario_dissemination_sweep() -> dict:
-    """Flood vs ring vs tree payload routing (schema v6 tentpole).
-
-    With the bandwidth term enabled, the sweep measures where the wire
-    bytes *sit*: a flood origin's NIC carries ~n−1 payload copies per
-    broadcast (origin-over-mean ≈ n−1) while ring spreads each body to
-    exactly one send per node (origin-over-mean ≈ 1) and tree bounds
-    fan-out at k.  A bandwidth-disabled flood/ring pair backs the
-    one-sided throughput rule: balancing must not cost end-to-end
-    throughput, because ordering is decoupled from dissemination.
-    """
-    bw = 2_000.0  # bytes/ms: a 4 KiB body costs ~2 ms of serialisation
-    flood = run_dissemination("flood", bw, label="dissemination_flood")
-    ring = run_dissemination("ring", bw, label="dissemination_ring")
-    tree = run_dissemination("tree", bw, label="dissemination_tree")
-    flood_nobw = run_dissemination("flood", None, label="dissemination_flood_nobw")
-    ring_nobw = run_dissemination("ring", None, label="dissemination_ring_nobw")
-    ring_origin = ring["node_bytes"]["origin_over_mean"]
-    flood_origin = flood["node_bytes"]["origin_over_mean"]
-    tput_flood = flood_nobw["throughput_msgs_per_s"]
-    tput_ring = ring_nobw["throughput_msgs_per_s"]
-    return {
-        "section": "dissemination-sweep",
-        "metrics": {
-            "flood": flood,
-            "ring": ring,
-            "tree": tree,
-            "flood_nobw": flood_nobw,
-            "ring_nobw": ring_nobw,
-            "ring_throughput_fraction_of_flood": _round(
-                tput_ring / tput_flood if tput_flood else math.nan, 3
-            ),
-        },
-        "shape": {
-            # The tentpole claim: under ring the origin's sent bytes per
-            # delivery sit within the hard bound of the per-node mean...
-            "origin_bytes_balanced": ring_origin <= RING_ORIGIN_BALANCE_BOUND,
-            # ...whereas the flood origin's NIC carries nearly every
-            # payload copy (~n−1× the mean on a single-origin workload).
-            "flood_origin_concentrated": flood_origin > RING_ORIGIN_BALANCE_BOUND,
-            "ring_flatter_than_flood": ring["node_bytes"]["fairness_ratio"]
-            < flood["node_bytes"]["fairness_ratio"] / 2,
-            "tree_flatter_than_flood": tree["node_bytes"]["fairness_ratio"]
-            < flood["node_bytes"]["fairness_ratio"],
-            # The overlays actually carried the payloads hop by hop.
-            "overlay_forwarding_active": ring["rb"]["forwarded"] > 0
-            and tree["rb"]["forwarded"] > 0,
-            "no_failure_free_floods": ring["rb"]["suspect_floods"] == 0
-            and tree["rb"]["suspect_floods"] == 0,
-            # One-sided throughput rule (bandwidth disabled): the ring's
-            # extra hops must not dent end-to-end throughput.
-            "ring_throughput_holds": tput_ring
-            >= tput_flood * DISSEMINATION_THROUGHPUT_FLOOR,
-            "no_leaked_latency_intervals": all(
-                run["open_latency_intervals"] == 0
-                for run in (flood, ring, tree, flood_nobw, ring_nobw)
-            ),
-        },
-        "shape_detail": {
-            "origin_bytes_balanced": (
-                f"ring origin_over_mean {ring_origin} <= bound "
-                f"{RING_ORIGIN_BALANCE_BOUND}"
-            ),
-            "flood_origin_concentrated": (
-                f"flood origin_over_mean {flood_origin} > bound "
-                f"{RING_ORIGIN_BALANCE_BOUND}"
-            ),
-            "ring_flatter_than_flood": (
-                f"ring fairness {ring['node_bytes']['fairness_ratio']} < "
-                f"flood fairness {flood['node_bytes']['fairness_ratio']} / 2"
-            ),
-            "tree_flatter_than_flood": (
-                f"tree fairness {tree['node_bytes']['fairness_ratio']} < "
-                f"flood fairness {flood['node_bytes']['fairness_ratio']}"
-            ),
-            "ring_throughput_holds": (
-                f"ring {tput_ring} msgs/s >= flood {tput_flood} msgs/s * "
-                f"{DISSEMINATION_THROUGHPUT_FLOOR}"
-            ),
-        },
-    }
-
-
 SCENARIOS = {
     "sec41_complexity": scenario_sec41,
     "sec42_bank": scenario_sec42,
     "sec43_responsiveness": scenario_sec43,
     "pipelining": scenario_pipelining,
     "payload_sweep": scenario_payload_sweep,
-    "dissemination_sweep": scenario_dissemination_sweep,
 }
 
 
@@ -913,34 +746,6 @@ def check(
                 f".bytes_per_delivery_by_layer.consensus: {cons_4k} exceeds "
                 f"hard bound {CONSENSUS_BYTES_4K_BOUND} — payload bodies are "
                 f"leaking back into ordering traffic"
-            )
-    # Hard bounds for the dissemination sweep: the ring origin's share of
-    # the wire bytes must stay balanced, and balancing must not cost
-    # throughput (one-sided, bandwidth-disabled comparison).
-    sweep = document["scenarios"].get("dissemination_sweep")
-    if sweep is not None:
-        ring_origin = sweep["metrics"]["ring"]["node_bytes"]["origin_over_mean"]
-        if ring_origin is None:
-            problems.append(
-                "scenarios.dissemination_sweep.metrics.ring.node_bytes"
-                ".origin_over_mean: missing"
-            )
-        elif ring_origin > RING_ORIGIN_BALANCE_BOUND:
-            problems.append(
-                f"scenarios.dissemination_sweep.metrics.ring.node_bytes"
-                f".origin_over_mean: {ring_origin} exceeds hard bound "
-                f"{RING_ORIGIN_BALANCE_BOUND} — the ring origin's NIC is "
-                f"carrying more than its share of the payload bytes"
-            )
-        tput_flood = sweep["metrics"]["flood_nobw"]["throughput_msgs_per_s"]
-        tput_ring = sweep["metrics"]["ring_nobw"]["throughput_msgs_per_s"]
-        floor = tput_flood * DISSEMINATION_THROUGHPUT_FLOOR
-        if tput_ring < floor:
-            problems.append(
-                f"scenarios.dissemination_sweep.metrics.ring_nobw"
-                f".throughput_msgs_per_s: {tput_ring} below "
-                f"{DISSEMINATION_THROUGHPUT_FLOOR:.0%} of flood's {tput_flood} "
-                f"(floor {floor:.2f}) — ring dissemination regressed throughput"
             )
     return problems
 

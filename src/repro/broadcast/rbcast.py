@@ -22,27 +22,6 @@ wired in through ``suspicion_provider`` (current suspect set) and
 :meth:`peer_suspected` (edge trigger), both fed by the stack's FD
 monitor.
 
-**Dissemination overlay** (``dissemination="ring" | "tree"``): under
-flood — the default — the origin unicasts every packet to all n−1
-members, so the origin's NIC is the throughput ceiling.  With an
-overlay the origin instead sends each packet only to its deterministic
-successor (ring) or its ≤ k tree children, and every member forwards
-the packet exactly once on first receipt along the same structure
-(``repro.net.overlay``): O(1)/O(k) payload sends per node per broadcast
-instead of O(n) at the origin, in the spirit of Ring Paxos's pipelined
-dissemination.  The overlay is view-aware (hops are recomputed against
-the current membership at every send, so view installs and
-reincarnations re-shape the routing automatically) and
-failure-repairing: a suspected downstream member is routed *around* —
-its forwarding duties are adopted by its predecessor (counted as
-``rb.reroutes``) while it still gets a best-effort direct copy — and a
-suspicion edge floods **all** retained packets (any origin's, not just
-the suspect's own: a crashed *forwarder* strands other origins'
-packets) as the crash-tolerance backstop.  Under an overlay every
-member retains every not-yet-stable packet, exactly like the lazy
-relay, so the flood material is always at hand and is GC'd by the same
-stability machinery.
-
 The component is *tag-multiplexed*: several upper layers (consensus
 decisions, atomic broadcast payloads, generic broadcast checks) share one
 rbcast component, each registering its own tag handler.
@@ -67,7 +46,6 @@ import itertools
 from typing import Any, Callable
 
 from repro.net.message import MsgId
-from repro.net.overlay import DisseminationOverlay
 from repro.net.reliable import ReliableChannel
 from repro.sim.process import Component, Process
 
@@ -96,26 +74,14 @@ class ReliableBroadcast(Component):
         stability_interval: float | None = 500.0,
         relay_policy: str = "eager",
         suspicion_provider: SuspicionProvider | None = None,
-        dissemination: str = "flood",
-        tree_fanout: int = 2,
     ) -> None:
         super().__init__(process, "rb")
         if relay_policy not in ("eager", "lazy"):
             raise ValueError(f"unknown relay_policy {relay_policy!r}")
-        if dissemination not in ("flood", "ring", "tree"):
-            raise ValueError(f"unknown dissemination {dissemination!r}")
         self.channel = channel
         self.group_provider = group_provider
         self.relay = relay
         self.relay_policy = relay_policy
-        self.dissemination = dissemination
-        #: Ring/tree payload routing; None = classic flood dissemination
-        #: (every pre-overlay code path byte-identical).
-        self.overlay = (
-            None
-            if dissemination == "flood"
-            else DisseminationOverlay(dissemination, tree_fanout)
-        )
         #: Current suspect set of the stack's FD monitor (pids).  Only
         #: consulted under the lazy policy; assigned after construction
         #: by the stack wiring (the monitor does not exist yet here).
@@ -160,21 +126,13 @@ class ReliableBroadcast(Component):
         self._reported: dict[str, dict[str, int]] = {}
         #: What we last gossiped to each member (delta encoding).
         self._gossiped: dict[str, dict[str, int]] = {}
-        #: Overlay anti-entropy: each member's reported vector as of the
-        #: previous stability tick (to tell "stranded" from "in flight")
-        #: and the (member, origin) marks already repaired once.
-        self._repair_prev: dict[str, dict[str, int]] = {}
-        self._repaired_at: dict[tuple[str, str], int] = {}
         #: Everything at or below this per-origin seq has been pruned.
         self._pruned: dict[str, int] = {}
         counters = self.world.metrics.counters
         self._inc_broadcasts = counters.handle("rb.broadcasts")
         self._inc_delivered = counters.handle("rb.delivered")
         self._inc_relayed = counters.handle("rb.relayed")
-        self._inc_forwarded = counters.handle("rb.forwarded")
-        self._inc_reroutes = counters.handle("rb.reroutes")
         self._inc_suspect_floods = counters.handle("rb.suspect_floods")
-        self._inc_repairs = counters.handle("rb.overlay_repairs")
         self._inc_pruned = counters.handle("rb.stable_pruned")
         self._inc_pin_deferred = counters.handle("rb.prune_pinned")
         self.register_port(PORT, self._on_message)
@@ -200,24 +158,10 @@ class ReliableBroadcast(Component):
         self._inc_broadcasts()
         packet = (mid, self.pid, tag, payload)
         layer = self._layer_of(tag)
-        members = self.group_provider()
-        if self.overlay is None:
-            targets = members
-        else:
-            # Ring/tree: self-deliver plus the overlay's next hops only —
-            # the origin's O(n) unicast burst becomes O(1)/O(k).  Retain
-            # our own packet immediately: it is the flood material should
-            # our successor crash before forwarding.
-            suspects = self._suspects()
-            hops, reroutes = self.overlay.next_hops(members, self.pid, self.pid, suspects)
-            if reroutes:
-                self._inc_reroutes(reroutes)
-            self._retained.setdefault(mid.sender, {})[mid.seq] = packet
-            targets = ([self.pid] if self.pid in members else []) + hops
         self.spans.wrap(
             self.pid, layer, f"rb:{tag}", "send", self.now, mid,
             self.channel.send_to_all,
-            targets, PORT, packet, layer=layer,
+            self.group_provider(), PORT, packet, layer=layer,
         )
         return mid
 
@@ -226,41 +170,12 @@ class ReliableBroadcast(Component):
     def bcast(self, tag: str, payload: Any) -> MsgId:
         return self.rbcast(tag, payload)
 
-    def _suspects(self) -> set:
-        if self.suspicion_provider is None:
-            return set()
-        return self.suspicion_provider()
-
     def _should_relay(self, origin: str) -> bool:
         if self.relay_policy == "eager":
             return True
-        return origin_pid(origin) in self._suspects()
-
-    def _forward(self, packet: tuple) -> None:
-        """Overlay forwarding: pass the packet one hop along the ring/tree.
-
-        Every member forwards a packet at most once (this runs behind
-        the dedup check) and retains it until stability — the retained
-        copy is the suspicion-flood backstop's material.
-        """
-        mid, _origin, tag, _payload = packet
-        self._retained.setdefault(mid.sender, {})[mid.seq] = packet
-        opid = origin_pid(mid.sender)
-        if opid == self.pid:
-            return  # our own packet looped back via self-delivery
-        hops, reroutes = self.overlay.next_hops(
-            self.group_provider(), opid, self.pid, self._suspects()
-        )
-        if reroutes:
-            self._inc_reroutes(reroutes)
-        if not hops:
-            return  # end of the chain / leaf of the tree
-        self._inc_forwarded()
-        layer = self._layer_of(tag)
-        self.spans.wrap(
-            self.pid, layer, "rb:forward", "send", self.now, mid,
-            self.channel.send_to_all, hops, PORT, packet, layer=layer,
-        )
+        if self.suspicion_provider is None:
+            return False
+        return origin_pid(origin) in self.suspicion_provider()
 
     def _on_message(self, src: str, packet: tuple) -> None:
         mid, origin, tag, payload = packet
@@ -273,9 +188,7 @@ class ReliableBroadcast(Component):
         seen.add(mid.seq)
         self._seen_count += 1
         self._advance_watermark(mid)
-        if self.overlay is not None and self.relay:
-            self._forward(packet)
-        elif self.relay and src != self.pid:
+        if self.relay and src != self.pid:
             if self.relay_policy == "lazy":
                 # Retain for a potential suspicion-triggered flood; the
                 # entry is pruned together with its dedup entry.
@@ -300,29 +213,20 @@ class ReliableBroadcast(Component):
         handler(origin, payload, mid)
 
     def peer_suspected(self, pid: str) -> None:
-        """Suspicion edge from the FD: flood retained packets (the
-        crash-tolerance step of lazy relay and of the overlays).
+        """Suspicion edge from the FD: flood every retained packet of the
+        suspected process's origins (lazy policy's crash-tolerance step).
 
-        Lazy flood relay: flood the suspected process's own origins —
-        only the origin's crash can leave its packets under-delivered.
-        Overlay routing: flood **every** retained packet regardless of
-        origin — a crashed *forwarder* strands whatever packets were
-        mid-route through it, whoever originated them.  Dedup makes the
-        redundant copies harmless.
-
-        No-op under the eager flood policy — everything was already
-        relayed on first receipt.
+        No-op under the eager policy — everything was already relayed on
+        first receipt.
         """
-        if not self.relay:
-            return
-        if self.overlay is None and self.relay_policy == "eager":
+        if self.relay_policy == "eager" or not self.relay:
             return
         peers = [q for q in self.group_provider() if q != self.pid]
         if not peers:
             return
         flooded = 0
         for origin, packets in self._retained.items():
-            if self.overlay is None and origin_pid(origin) != pid:
+            if origin_pid(origin) != pid:
                 continue
             for seq in sorted(packets):
                 packet = packets[seq]
@@ -377,65 +281,12 @@ class ReliableBroadcast(Component):
             # snapshot again.
             for gone in [m for m in self._gossiped if m not in members]:
                 del self._gossiped[gone]
-            if self.overlay is not None:
-                self._overlay_repair(members)
         # Re-check pruning locally: reports are delta-encoded and go
         # silent once watermarks stop changing, so a retention pin
         # released after the last report (its instance decided, then the
         # group went quiet) would otherwise defer collection forever.
         self._prune()
         self.schedule(self.stability_interval, self._stability_tick)
-
-    def _overlay_repair(self, members: list[str]) -> None:
-        """Stability-report anti-entropy: the overlay's silent-stall backstop.
-
-        The suspicion flood only fires on an FD *edge*.  A chain can also
-        strand packets with no suspicion at all: a member crashes and
-        reincarnates before anyone suspects it, and its state-transfer
-        snapshot fences (``install_snapshot``) the very packets that were
-        in flight *through* it — the rejoiner dedups them instead of
-        forwarding, starving everyone downstream forever.  The watermark
-        gossip already exposes the stall: the starved member's reported
-        mark freezes below ours.  So on each stability tick, re-send the
-        retained packets a peer provably lacks — but only when its mark
-        for that origin is unchanged since the previous tick (in-flight
-        traffic heals itself) and at most once per stalled mark (reliable
-        channels make one repair sufficient).
-        """
-        for member in members:
-            if member == self.pid:
-                continue
-            reported = self._reported.get(member)
-            if reported is None:
-                continue
-            prev = self._repair_prev.get(member)
-            self._repair_prev[member] = dict(reported)
-            if prev is None:
-                continue  # first report seen: grace tick before repairing
-            for origin, packets in self._retained.items():
-                theirs = reported.get(origin, -1)
-                if theirs >= self._watermarks.get(origin, -1):
-                    continue
-                if prev.get(origin, -1) != theirs:
-                    continue  # mark still moving: in flight, not stranded
-                if self._repaired_at.get((member, origin)) == theirs:
-                    continue
-                self._repaired_at[(member, origin)] = theirs
-                resent = 0
-                for seq in sorted(packets):
-                    if seq <= theirs:
-                        continue
-                    packet = packets[seq]
-                    self.spans.wrap(
-                        self.pid, self._layer_of(packet[2]), "rb:repair", "send",
-                        self.now, packet[0],
-                        self.channel.send, member, PORT, packet,
-                        layer=self._layer_of(packet[2]),
-                    )
-                    resent += 1
-                if resent:
-                    self._inc_repairs(resent)
-                    self.trace("overlay_repair", peer=member, origin=origin, packets=resent)
 
     def _on_stability(self, src: str, watermarks: dict[str, int]) -> None:
         # Delta-encoded: merge into (not replace) the sender's vector.

@@ -87,19 +87,6 @@ class StackConfig:
     #: arises — same delivery guarantee, O(n) datagrams in the
     #: failure-free case.
     relay_policy: str = "eager"
-    #: Payload dissemination overlay (``repro.net.overlay``): ``"flood"``
-    #: has the origin unicast every rbcast packet to all n−1 members
-    #: (pre-overlay behaviour, byte-identical); ``"ring"`` routes each
-    #: packet along the sorted member ring rotated to the origin, every
-    #: node sending each body at most once; ``"tree"`` routes down a
-    #: deterministic k-ary tree rooted at the origin (fan-out
-    #: ``tree_fanout``, latency O(log_k n) hops).  Ring/tree re-route
-    #: around FD-suspected members and fall back to a retained-packet
-    #: flood on suspicion edges, so the rbcast delivery guarantee is
-    #: unchanged.
-    dissemination: str = "flood"
-    #: Fan-out k of the ``"tree"`` dissemination overlay.
-    tree_fanout: int = 2
     #: Reliable-channel send coalescing: segments to the same peer
     #: within this window (ms) ride one datagram, and ACKs are delayed
     #: and cumulative over the same window.  None disables coalescing
@@ -169,12 +156,7 @@ class NewArchitectureStack:
         self.channel.hb_epoch_provider = self.fd.current_hb_epoch
         self.channel.hb_sample_sink = self.fd.note_piggyback_sample
         self.rbcast = ReliableBroadcast(
-            process,
-            self.channel,
-            members,
-            relay_policy=cfg.relay_policy,
-            dissemination=cfg.dissemination,
-            tree_fanout=cfg.tree_fanout,
+            process, self.channel, members, relay_policy=cfg.relay_policy
         )
         self.consensus = ChandraTouegConsensus(
             process,

@@ -69,9 +69,6 @@ def scenario_for_seed(seed: int, budget_events: int = 200_000) -> ScenarioConfig
             # Biased towards the round-0 fast path (the new stack's
             # default) while keeping classic-round coverage in the sweep.
             consensus_fast_path=rng.choice([True, True, False]),
-            # Mostly flood (the default everywhere) with ring/tree
-            # overlay coverage in the sweep.
-            dissemination=rng.choice(["flood", "flood", "ring", "tree"]),
         ),
         budget_events=budget_events,
     )

@@ -238,7 +238,6 @@ def build_world(config: ScenarioConfig, trace: bool = False):
         relay_policy=config.stack.relay_policy,
         coalesce_delay=config.stack.coalesce_delay,
         consensus_fast_path=config.stack.consensus_fast_path,
-        dissemination=config.stack.dissemination,
         monitoring=MonitoringPolicy(exclusion_timeout=config.stack.exclusion_timeout),
     )
     world = World(seed=config.seed, default_link=link, trace_enabled=trace)

@@ -69,10 +69,6 @@ class StackKnobs:
     #: (which omit the key) keep replaying their pinned legacy schedules
     #: byte-identically; the sweep and newer entries opt in explicitly.
     consensus_fast_path: bool = False
-    #: Payload dissemination overlay (``flood`` | ``ring`` | ``tree``).
-    #: Defaults to ``flood`` — pre-overlay corpus entries omit the key
-    #: and keep replaying byte-identically.
-    dissemination: str = "flood"
 
     def to_json_obj(self) -> dict:
         return {
@@ -83,11 +79,20 @@ class StackKnobs:
             "relay_policy": self.relay_policy,
             "coalesce_delay": self.coalesce_delay,
             "consensus_fast_path": self.consensus_fast_path,
-            "dissemination": self.dissemination,
         }
 
     @staticmethod
     def from_json_obj(obj: dict) -> "StackKnobs":
+        # Repro files written while rbcast also had ring/tree routing
+        # store a ``dissemination`` key.  Flood is the only routing left,
+        # so ``"flood"`` files replay unchanged and the others cannot.
+        obj = dict(obj)
+        dissemination = obj.pop("dissemination", "flood")
+        if dissemination != "flood":
+            raise ValueError(
+                f"dissemination={dissemination!r} needs the ring/tree dissemination "
+                "overlay, which was removed; only flood routing can be replayed"
+            )
         return StackKnobs(**obj)
 
 
@@ -148,13 +153,8 @@ class ScenarioConfig:
         Cross-class order is never asserted (the observer keys streams
         by class): commuting messages deliberately bypass the staging
         machinery that conflicting messages wait on.
-
-        The ring/tree dissemination overlays share the lazy caveat: their
-        suspicion-edge flood re-injects the retained suffix, so a false
-        suspicion can reorder with no fault plan at all — FIFO is only
-        checkable under classic flood dissemination.
         """
-        return self.stack.relay_policy == "eager" and self.stack.dissemination == "flood"
+        return self.stack.relay_policy == "eager"
 
     def incarnation_checkable(self) -> bool:
         """Whether incarnation-monotonicity is checkable on this run.
@@ -176,7 +176,6 @@ class ScenarioConfig:
             return True
         return (
             self.stack.relay_policy == "eager"
-            and self.stack.dissemination == "flood"
             and self.link.drop_prob == 0.0
             and self.link.dup_prob == 0.0
             and not any(e.kind == "partition" for e in self.plan.events)

@@ -69,9 +69,8 @@ class UnreliableTransport:
         self._layer_handles: dict[str, Any] = {}
         self._layer_byte_handles: dict[str, Any] = {}
         #: Per-sender wire bytes (``net.bytes.sent.<pid>``): the
-        #: measurement half of bandwidth-*balanced* dissemination — the
-        #: aggregate ``net.bytes`` cannot show whether the load sits on
-        #: one NIC (flood origin) or is spread around a ring/tree.
+        #: aggregate ``net.bytes`` cannot show which process's NIC
+        #: carried the load (e.g. a flood origin sending every copy).
         self._pid_byte_handles: dict[str, Any] = {}
         self._port_handles: dict[str, Any] = {}
         #: pid -> (incarnation at registration, sink).  One sink per

@@ -64,25 +64,6 @@ def test_fast_path_corpus_entries_exercise_the_crash_window():
         assert escaped, f"{stem}: no instance escaped round 0"
 
 
-def test_ring_corpus_entry_exercises_both_overlay_backstops():
-    # The ring entry must really hit its window: the successor's crash
-    # triggers the suspicion flood, and its pre-exclusion reincarnation
-    # leaves silently stranded chain packets that only the stability
-    # anti-entropy repair can re-send (no suspicion edge ever fires for
-    # a healthy-looking rejoiner).
-    obj = json.loads(
-        (CORPUS_DIR / "ring-successor-crash-mid-dissemination.json").read_text()
-    )
-    config = ScenarioConfig.from_json_obj(obj["config"])
-    assert config.stack.dissemination == "ring"
-    result, world = run_scenario(config)
-    assert result.violation is None, result.violation
-    counters = world.metrics.counters
-    assert counters.get("rb.forwarded") > 0
-    assert counters.get("rb.suspect_floods") > 0
-    assert counters.get("rb.overlay_repairs") > 0
-
-
 def test_fast_path_window_shrinks_and_replays_via_cli(tmp_path):
     # Arm the nastiest fast-path window with a known ordering bug: the
     # explore machinery must catch it, shrink the schedule, and replay

@@ -2,8 +2,8 @@
 
 The benchmark runner is exercised end to end by CI's ``--check`` run;
 these tests pin the *rules* — the one-sided latency bound, the
-``decision_path`` round-0 shape, the actionable shape-failure messages
-and the dissemination hard bounds — against hand-built documents, so a
+``decision_path`` round-0 shape and the actionable shape-failure
+messages — against hand-built documents, so a
 rule regression fails fast without re-running every scenario.
 """
 
@@ -16,8 +16,6 @@ if str(_BENCH) not in sys.path:  # run_all expects its own dir importable
     sys.path.insert(0, str(_BENCH))
 
 from run_all import (  # noqa: E402
-    DISSEMINATION_THROUGHPUT_FLOOR,
-    RING_ORIGIN_BALANCE_BOUND,
     SCHEMA,
     check,
     compare,
@@ -70,50 +68,16 @@ def _empty_baseline(tmp_path):
 def test_shape_failure_quotes_the_measured_detail(tmp_path):
     # A false shape flag must surface the scenario's shape_detail string
     # (measured value + bound) — a bare flag name is not actionable.
-    doc = _sweep_doc(origin_over_mean=1.3, tput_ring=960.0)
-    doc["scenarios"]["dissemination_sweep"]["shape"] = {
-        "origin_bytes_balanced": False,
-        "other": True,
-    }
-    doc["scenarios"]["dissemination_sweep"]["shape_detail"] = {
-        "origin_bytes_balanced": "ring origin_over_mean 2.7 <= bound 2.0"
-    }
-    problems = check(doc, _empty_baseline(tmp_path), tolerance=0.25)
-    assert len(problems) == 1
-    assert "scenarios.dissemination_sweep.shape.origin_bytes_balanced" in problems[0]
-    assert "ring origin_over_mean 2.7 <= bound 2.0" in problems[0]
-
-
-def _sweep_doc(origin_over_mean, tput_ring, tput_flood=1000.0):
-    return {
+    detail = "demo ratio 2.7 <= bound 2.0"
+    doc = {
         "scenarios": {
-            "dissemination_sweep": {
-                "shape": {},
-                "metrics": {
-                    "ring": {"node_bytes": {"origin_over_mean": origin_over_mean}},
-                    "flood_nobw": {"throughput_msgs_per_s": tput_flood},
-                    "ring_nobw": {"throughput_msgs_per_s": tput_ring},
-                },
+            "demo": {
+                "shape": {"ratio_bounded": False, "other": True},
+                "shape_detail": {"ratio_bounded": detail},
             }
         }
     }
-
-
-def test_ring_origin_balance_is_a_hard_bound(tmp_path):
-    baseline = _empty_baseline(tmp_path)
-    ok = _sweep_doc(origin_over_mean=1.3, tput_ring=960.0)
-    assert check(ok, baseline, tolerance=0.25) == []
-    hot = _sweep_doc(origin_over_mean=RING_ORIGIN_BALANCE_BOUND + 0.5, tput_ring=960.0)
-    problems = check(hot, baseline, tolerance=0.25)
+    problems = check(doc, _empty_baseline(tmp_path), tolerance=0.25)
     assert len(problems) == 1
-    assert "origin_over_mean" in problems[0]
-    assert str(RING_ORIGIN_BALANCE_BOUND) in problems[0]
-
-
-def test_ring_throughput_floor_is_a_hard_bound(tmp_path):
-    baseline = _empty_baseline(tmp_path)
-    floor = 1000.0 * DISSEMINATION_THROUGHPUT_FLOOR
-    assert check(_sweep_doc(1.3, floor + 1.0), baseline, tolerance=0.25) == []
-    problems = check(_sweep_doc(1.3, floor - 1.0), baseline, tolerance=0.25)
-    assert len(problems) == 1
-    assert "ring dissemination regressed throughput" in problems[0]
+    assert "scenarios.demo.shape.ratio_bounded" in problems[0]
+    assert detail in problems[0]
