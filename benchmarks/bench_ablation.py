@@ -88,13 +88,13 @@ def batching_ablation(burst):
 
 
 def test_ablation_rbcast_relay(benchmark, capsys):
-    def run_all():
+    def run():
         return [
             ["relay ON"] + list(rbcast_relay_ablation(True)),
             ["relay OFF"] + list(rbcast_relay_ablation(False)),
         ]
 
-    rows = once(benchmark, run_all)
+    rows = once(benchmark, run)
     report(
         capsys,
         "Ablation 1  rbcast relay-on-first-receipt (sender crashes mid-broadcast)",
@@ -109,14 +109,14 @@ def test_ablation_rbcast_relay(benchmark, capsys):
 
 
 def test_ablation_fast_path_timeout(benchmark, capsys):
-    def run_all():
+    def run():
         rows = []
         for timeout in (100.0, 400.0, 1_600.0):
             stuck, free_endstages = fast_path_timeout_ablation(timeout)
             rows.append([f"{timeout:.0f}", stuck, free_endstages])
         return rows
 
-    rows = once(benchmark, run_all)
+    rows = once(benchmark, run)
     report(
         capsys,
         "Ablation 2  generic broadcast fast-path timeout (one member silent)",
@@ -158,14 +158,14 @@ def stability_ablation(interval):
 
 
 def test_ablation_stability_gc(benchmark, capsys):
-    def run_all():
+    def run():
         rows = []
         for label, interval in (("GC off", None), ("GC 500 ms", 500.0), ("GC 150 ms", 150.0)):
             peak, final, _ = stability_ablation(interval)
             rows.append([label, peak, final])
         return rows
 
-    rows = once(benchmark, run_all)
+    rows = once(benchmark, run)
     report(
         capsys,
         "Ablation 4  stability-based dedup GC (200 broadcasts, 3 members)",
@@ -215,13 +215,13 @@ def quorum_ablation(quorum):
 
 
 def test_ablation_quorum_fast_path(benchmark, capsys):
-    def run_all():
+    def run():
         return [
             ["all-ack fast path"] + quorum_ablation(False),
             ["quorum fast path (n=4, f=1)"] + quorum_ablation(True),
         ]
 
-    rows = once(benchmark, run_all)
+    rows = once(benchmark, run)
     report(
         capsys,
         "Ablation 5  all-ack vs. quorum fast path (one of four members crashed)",
@@ -238,10 +238,10 @@ def test_ablation_quorum_fast_path(benchmark, capsys):
 
 
 def test_ablation_abcast_batching(benchmark, capsys):
-    def run_all():
+    def run():
         return [[burst, batching_ablation(burst)] for burst in (1, 8, 32)]
 
-    rows = once(benchmark, run_all)
+    rows = once(benchmark, run)
     report(
         capsys,
         "Ablation 3  consensus-based abcast batching",

@@ -59,7 +59,7 @@ def adaptive(safety):
 def test_adaptive_fd(benchmark, capsys):
     jittery = LinkModel(1.0, 25.0, drop_prob=0.15)
 
-    def run_all():
+    def run():
         rows = []
         for name, factory in (
             ("fixed 30 ms", fixed(30.0)),
@@ -71,7 +71,7 @@ def test_adaptive_fd(benchmark, capsys):
             rows.append([name, false_suspicions, detection])
         return rows
 
-    rows = once(benchmark, run_all)
+    rows = once(benchmark, run)
     report(
         capsys,
         "Adaptive failure detection under jitter (ext. of Sec. 3.3.2)",

@@ -59,10 +59,10 @@ def run_composed():
 
 
 def test_conclusion_dual_composition(benchmark, capsys):
-    def run_all():
+    def run():
         return run_direct(), run_composed()
 
-    direct, composed = once(benchmark, run_all)
+    direct, composed = once(benchmark, run)
     identical = direct["history"] == composed["history"]
     report(
         capsys,

@@ -59,10 +59,10 @@ def run_mix(conflict_fraction, seed=20):
 
 
 def test_fig7_new_augmented(benchmark, capsys):
-    def run_all():
+    def run():
         return [run_mix(f) for f in (0.0, 0.25, 0.5, 1.0)]
 
-    rows = once(benchmark, run_all)
+    rows = once(benchmark, run)
     report(
         capsys,
         "Fig. 7  New architecture (augmented): generic broadcast over abcast",

@@ -61,7 +61,7 @@ def race(seed, config=None):
 
 
 def test_fig8_passive_replication(benchmark, capsys):
-    def run_all():
+    def run():
         outcomes = {"update-first": 0, "change-first": 0}
         all_rotated = all_member = True
         for seed in SEEDS:
@@ -71,7 +71,7 @@ def test_fig8_passive_replication(benchmark, capsys):
             all_member &= still_member
         return outcomes, all_rotated, all_member
 
-    outcomes, all_rotated, all_member = once(benchmark, run_all)
+    outcomes, all_rotated, all_member = once(benchmark, run)
     report(
         capsys,
         "Fig. 8  Passive replication race: update || primary-change, 30 seeds "

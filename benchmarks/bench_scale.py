@@ -37,7 +37,7 @@ def run_scale(n, msg_class, conflict):
 
 
 def test_scale_group_size(benchmark, capsys):
-    def run_all():
+    def run():
         rows = []
         for n in (3, 5, 7, 9):
             fast_lat, fast_msgs = run_scale(n, "free", FREE)
@@ -45,7 +45,7 @@ def test_scale_group_size(benchmark, capsys):
             rows.append([n, fast_lat, fast_msgs, atomic_lat, atomic_msgs])
         return rows
 
-    rows = once(benchmark, run_all)
+    rows = once(benchmark, run)
     report(
         capsys,
         f"Scaling with group size ({BURST} broadcasts, failure-free)",

@@ -82,10 +82,10 @@ def run_new_arch_churn():
 
 
 def test_sec44_view_change_blocking(benchmark, capsys):
-    def run_all():
+    def run():
         return run_isis_churn(), run_new_arch_churn()
 
-    isis, new = once(benchmark, run_all)
+    isis, new = once(benchmark, run)
     report(
         capsys,
         f"Sec. 4.4  Sender blocking during {CHURN_EVENTS} join-triggered view changes",

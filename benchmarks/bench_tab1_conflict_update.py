@@ -53,7 +53,7 @@ def cell(class_a, class_b):
 
 
 def test_tab1_conflict_relation(benchmark, capsys):
-    def run_all():
+    def run():
         rows = []
         for a, b, conflicts in (
             (UPDATE, UPDATE, False),
@@ -68,7 +68,7 @@ def test_tab1_conflict_relation(benchmark, capsys):
                          len(orders)])
         return rows
 
-    rows = once(benchmark, run_all)
+    rows = once(benchmark, run)
     report(
         capsys,
         "Table 1 (Sec. 3.2.3)  update / primary-change conflict relation, 20 seeds/cell",

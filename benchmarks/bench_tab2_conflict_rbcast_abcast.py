@@ -43,7 +43,7 @@ def cell(kind_a, kind_b):
 
 
 def test_tab2_conflict_relation(benchmark, capsys):
-    def run_all():
+    def run():
         rows = []
         for a, b, conflicts in (
             ("rbcast", "rbcast", False),
@@ -57,7 +57,7 @@ def test_tab2_conflict_relation(benchmark, capsys):
                          "yes" if consensus_ever else "no"])
         return rows
 
-    rows = once(benchmark, run_all)
+    rows = once(benchmark, run)
     report(
         capsys,
         "Table 2 (Sec. 3.3)  rbcast / abcast conflict relation, 20 seeds/cell",

@@ -51,7 +51,7 @@ def scenario(build, send, log, crash_pid="p00"):
 
 
 def test_xarch_comparison(benchmark, capsys):
-    def run_all():
+    def run():
         rows = []
 
         def new_build(world):
@@ -117,7 +117,7 @@ def test_xarch_comparison(benchmark, capsys):
         )
         return rows
 
-    rows = once(benchmark, run_all)
+    rows = once(benchmark, run)
     report(
         capsys,
         f"Cross-architecture comparison (same workload, n=3, FD timeout {FD_TIMEOUT:.0f} ms)",

@@ -71,8 +71,8 @@ def teardown_leaks(world: World, timeout: float = 30_000.0) -> int:
     gauge reaches zero (or ``timeout`` simulated ms pass), then abandons
     whatever is left — those intervals can never close once the world is
     discarded, and they must not linger as phantom leaks.  Returns the
-    number still open *after* the drain: the figure the
-    ``no_leaked_latency_intervals`` shape flags assert to be zero.
+    number still open *after* the drain, which the benches assert to be
+    zero.
     """
     recorder = world.metrics.latency
     world.run_until(lambda: recorder.open_intervals() == 0, timeout=timeout)
@@ -104,24 +104,14 @@ def bytes_by_layer(world: World) -> dict[str, int]:
     the dissemination-vs-ordering split: msgs/delivery alone cannot show
     that ordering traffic stopped carrying payload bodies.
 
-    The per-sender ``net.bytes.sent.<pid>`` breakdown lives in the same
-    counter namespace and is excluded here; see :func:`bytes_by_node`.
+    The per-sender ``net.bytes.sent.<pid>`` counters live in the same
+    namespace and are excluded here.
     """
     return {
         layer: count
         for layer, count in world.metrics.counters.by_prefix("net.bytes.").items()
         if not layer.startswith("sent.")
     }
-
-
-def bytes_by_node(world: World) -> dict[str, int]:
-    """Per-sender wire bytes (``net.bytes.sent.<pid>``).
-
-    Per-process observability for the wire cost model: the aggregate
-    byte count cannot show which process's NIC carried the load (e.g. a
-    flood origin sending every payload copy).
-    """
-    return dict(world.metrics.counters.by_prefix("net.bytes.sent."))
 
 
 def protocol_messages_sent(world: World) -> int:
@@ -141,3 +131,30 @@ def per_delivery_messages(world: World, delivered: int) -> float:
     if delivered == 0:
         return math.nan
     return protocol_messages_sent(world) / delivered
+
+
+def causal_trees_complete(block: dict) -> bool:
+    """Every delivery's causal tree runs origin send → deliver, and the
+    span tree has no orphans, cycles or ring-buffer drops (``block`` is
+    a ``repro.sim.critpath.summarize_deliveries`` summary)."""
+    return (
+        block["deliveries"] > 0
+        and block["complete"] == block["deliveries"]
+        and block["integrity_errors"] == 0
+        and block["spans_dropped"] == 0
+    )
+
+
+#: Failure-free runs must decide (almost) every consensus instance in
+#: round 0: with the fast path on, nothing escapes round 0 unless a
+#: coordinator actually crashes (in practice the fraction is 1.0).
+ROUND0_FLOOR = 0.95
+
+
+def round0_fraction(world: World) -> float:
+    """Fraction of the world's consensus instances decided in round 0
+    (the ``consensus.decided_round_<r>`` counters).  A run with no
+    consensus at all counts as 1.0: nothing escaped round 0."""
+    rounds = world.metrics.counters.by_prefix("consensus.decided_round_")
+    decided = sum(rounds.values())
+    return rounds.get("0", 0) / decided if decided else 1.0

@@ -53,8 +53,8 @@ class StackConfig:
     heartbeat_interval: float = 10.0
     #: Traffic-aware failure detection: with ``fd_suppression`` on, the
     #: per-peer explicit heartbeat is skipped whenever any datagram went
-    #: to that peer within ``hb_idle_factor * heartbeat_interval`` ms —
-    #: outbound traffic already proves our liveness, and the transport's
+    #: to that peer within the last heartbeat interval — outbound
+    #: traffic already proves our liveness, and the transport's
     #: liveness tap plus the reliable channel's piggybacked hb-epoch
     #: headers keep detection latency and adaptive timeout estimation
     #: unchanged.  Heartbeats become the idle-link fallback: the FD's
@@ -62,7 +62,6 @@ class StackConfig:
     #: stacks build their FDs with suppression off, preserving the
     #: paper's constant heartbeat stream for the comparison benches.
     fd_suppression: bool = True
-    hb_idle_factor: float = 1.0
     suspicion_timeout: float = 60.0
     retransmit_interval: float = 20.0
     stuck_timeout: float = 1_000.0
@@ -76,10 +75,9 @@ class StackConfig:
     #: With ``abcast_window > 1`` a burst splits across concurrent
     #: instances instead of riding one giant batch.
     abcast_max_batch: int | None = None
-    #: Generic-broadcast ack piggybacking: flush delay (ms) and max acks
-    #: per datagram.  0.0 coalesces only within one event cascade.
+    #: Generic-broadcast ack piggybacking: flush delay (ms).  0.0
+    #: coalesces only within one event cascade.
     ack_delay: float = 0.0
-    max_ack_batch: int = 32
     #: Reliable-broadcast relay policy: ``"eager"`` relays every packet
     #: on first receipt (O(n²) datagrams per broadcast, maximally crash
     #: tolerant at all times); ``"lazy"`` relays only for origins the FD
@@ -147,7 +145,6 @@ class NewArchitectureStack:
             members,
             heartbeat_interval=cfg.heartbeat_interval,
             suppression=cfg.fd_suppression,
-            hb_idle_factor=cfg.hb_idle_factor,
         )
         # Piggybacked heartbeat headers: the channel stamps outgoing
         # datagrams with the FD's hb-epoch and feeds received epochs
@@ -189,7 +186,6 @@ class NewArchitectureStack:
             members,
             fast_path_timeout=cfg.fast_path_timeout,
             ack_delay=cfg.ack_delay,
-            max_ack_batch=cfg.max_ack_batch,
         )
         self.monitoring = MonitoringComponent(
             process, self.fd, self.membership, self.channel, cfg.monitoring

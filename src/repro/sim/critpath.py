@@ -117,7 +117,7 @@ def summarize_deliveries(
     deliver_name: str = "adeliver",
     send_name: str = "abcast",
 ) -> dict[str, Any]:
-    """Aggregate critical-path block for the bench report (JSON-ready)."""
+    """Aggregate critical-path summary of a run's deliveries (JSON-ready)."""
     paths = delivery_paths(spanlog, deliver_name, send_name)
     integrity = spanlog.check_integrity()
     n = len(paths)
@@ -179,18 +179,6 @@ def decision_delays(spanlog: SpanLog) -> list[float]:
             if t0 is not None:
                 delays.append(s.start - t0)
     return delays
-
-
-def summarize_decisions(spanlog: SpanLog) -> dict[str, Any]:
-    """Aggregate propose→decide delay block for the bench report."""
-    delays = sorted(decision_delays(spanlog))
-    block: dict[str, Any] = {"decides_measured": len(delays)}
-    if delays:
-        n = len(delays)
-        block["mean_decide_ms"] = round(sum(delays) / n, 3)
-        block["p50_decide_ms"] = round(delays[n // 2], 3)
-        block["max_decide_ms"] = round(delays[-1], 3)
-    return block
 
 
 def slowest_deliveries(

@@ -5,7 +5,7 @@ Messages that arrive for a consensus instance before the local
 voids instances this process never proposed, those buffers used to leak
 forever; ``prune_pre_propose`` reclaims them and tombstones the keys so
 stragglers stay inert.  The ``pre_propose_buffered()`` gauge makes the
-bound observable (it is published in the bench ``decision_path`` block).
+bound observable.
 """
 
 from repro.abcast.consensus_based import INSTANCE_PREFIX

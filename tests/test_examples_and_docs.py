@@ -4,6 +4,8 @@ Keeps the documentation honest — if an example or a documented snippet
 breaks, the suite fails.
 """
 
+import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -72,6 +74,29 @@ def test_readme_conflict_relation_snippet():
         timeout=30_000,
     )
     assert world.metrics.counters.get("consensus.proposals") == 0
+
+
+def test_benchmark_claim_table_names_existing_tests():
+    """Every ``benchmarks/bench_*.py::test_*`` node in the claim table of
+    docs/benchmarks.md exists, so a stale entry fails the suite."""
+    table = (REPO / "docs" / "benchmarks.md").read_text()
+    nodes = re.findall(r"`(benchmarks/bench_\w+\.py)::(test_\w+)`", table)
+    assert len(nodes) >= 20, "claim table not found in docs/benchmarks.md"
+    missing = []
+    for path, name in nodes:
+        bench = REPO / path
+        tests = (
+            {
+                node.name
+                for node in ast.parse(bench.read_text()).body
+                if isinstance(node, ast.FunctionDef)
+            }
+            if bench.exists()
+            else set()
+        )
+        if name not in tests:
+            missing.append(f"{path}::{name}")
+    assert not missing, missing
 
 
 def test_package_docstring_snippet():
