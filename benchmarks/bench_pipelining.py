@@ -69,7 +69,7 @@ def run_traffic(window, payload_bytes=None):
     """Drain the burst at ``window``; ``payload_bytes`` rides a
     :class:`repro.net.wire.Blob` of that size on every message."""
     config = StackConfig(abcast_window=window, abcast_max_batch=4, **PERF_KNOBS)
-    world = World(seed=23, default_link=LinkModel(3.0, 8.0))
+    world = World(seed=23, default_link=LinkModel(3.0, 8.0), span_sample=1)
     stacks = build_new_group(world, 3, config=config)
     world.start()
     total = 0

@@ -37,7 +37,7 @@ def dynamic_protocols_new_arch():
 
     Returns the mechanisms and the world, drained by the teardown, with
     the number of latency intervals the drain left open."""
-    world = World(seed=30)
+    world = World(seed=30, span_sample=1)
     stacks = build_new_group(world, 3)
     world.start()
     for i in range(5):

@@ -39,7 +39,7 @@ def new_arch_post_crash(timeout, seed=3):
 
     Returns the latency, the latency intervals the teardown drain left
     open, and the drained world (for its causal span tree)."""
-    world = World(seed=seed)
+    world = World(seed=seed, span_sample=1)
     config = StackConfig(
         suspicion_timeout=timeout,
         monitoring=MonitoringPolicy(exclusion_timeout=200_000.0),

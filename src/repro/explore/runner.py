@@ -240,7 +240,8 @@ def build_world(config: ScenarioConfig, trace: bool = False):
         consensus_fast_path=config.stack.consensus_fast_path,
         monitoring=MonitoringPolicy(exclusion_timeout=config.stack.exclusion_timeout),
     )
-    world = World(seed=config.seed, default_link=link, trace_enabled=trace)
+    # A traced replay renders whole causal trees: every span is kept.
+    world = World(seed=config.seed, default_link=link, trace_enabled=trace, span_sample=1)
     stacks = build_new_group(
         world, config.processes, conflict=relation, config=stack_config
     )

@@ -47,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.net.wire import payload_size
+from repro.net.wire import HEADER_BYTES, INT_BYTES, LEN_PREFIX, payload_size
 from repro.sim.process import Component, Process
 
 PORT = "rc"
@@ -79,12 +79,37 @@ class _Pending:
     seq: int
     port: str
     payload: Any
+    #: ``payload_size(payload)``, taken once at ``send()``: first
+    #: transmissions, retransmissions and BATCH byte splits reuse it.
+    size: int
     first_sent: float
     layer: str = "other"
     #: Causal "queue" span for this segment: opened at ``send()``, closed
     #: at first transmission; re-activated around retransmissions so they
     #: chain to the original send in the span tree.
     span: Any = None
+
+
+def _head_bytes(kind: str) -> int:
+    """``wire_size`` of an rc datagram's fixed head: the datagram header,
+    the tuple's length prefix, the ``kind`` tag and the two incarnations."""
+    return HEADER_BYTES + LEN_PREFIX + LEN_PREFIX + len(kind) + 2 * INT_BYTES
+
+
+#: Envelope sizes by the ``repro.net.wire`` arithmetic, so that no rc
+#: datagram is walked again to be sized.  A DATA datagram adds one
+#: segment (:func:`_segment_bytes`), a BATCH datagram a length-prefixed
+#: tuple of length-prefixed segments, ACK and GAP one int; the hb-epoch
+#: stamp adds one int more.
+_DATA_HEAD = _head_bytes("DATA")
+_BATCH_HEAD = _head_bytes("BATCH") + LEN_PREFIX
+_ACK_BYTES = _head_bytes("ACK") + INT_BYTES
+_GAP_BYTES = _head_bytes("GAP") + INT_BYTES
+
+
+def _segment_bytes(entry: _Pending) -> int:
+    """Wire bytes of one segment's ``seq, port, payload`` fields."""
+    return INT_BYTES + LEN_PREFIX + len(entry.port) + entry.size
 
 
 class ReliableChannel(Component):
@@ -159,22 +184,25 @@ class ReliableChannel(Component):
     def start(self) -> None:
         self.schedule(self.retransmit_interval, self._tick)
 
-    def _stamp(self, datagram: tuple) -> tuple:
-        """Append the current hb-epoch header when the FD is wired."""
-        if self.hb_epoch_provider is None:
-            return datagram
-        return datagram + (self.hb_epoch_provider(),)
-
     # ------------------------------------------------------------------
     # Sending
     # ------------------------------------------------------------------
-    def send(self, dst: str, port: str, payload: Any, layer: str | None = None) -> None:
+    def send(
+        self,
+        dst: str,
+        port: str,
+        payload: Any,
+        layer: str | None = None,
+        size: int | None = None,
+    ) -> None:
         """Reliably send ``payload`` to ``port`` on ``dst`` (FIFO order).
 
         ``layer`` attributes the first transmission to the initiating
         protocol layer for the ``net.sent.<layer>`` counters; when
         omitted it is derived from the port name.  ACKs and
         retransmissions are channel overhead and always count as ``rc``.
+        ``size`` is ``payload_size(payload)`` when the caller already
+        has it (:meth:`send_to_all` sizes a payload once for all peers).
         """
         layer = layer or layer_of_port(port)
         self._inc_sent()
@@ -189,19 +217,17 @@ class ReliableChannel(Component):
             # scheduler; no acks needed.
             self.schedule(0.0, self.process.dispatch, port, self.pid, payload)
             return
+        if size is None:
+            size = payload_size(payload)
         seq = self._next_seq.get(dst, 0)
         self._next_seq[dst] = seq + 1
-        pending = _Pending(seq, port, payload, self.now, layer)
+        pending = _Pending(seq, port, payload, size, self.now, layer)
         self._outbox.setdefault(dst, {})[seq] = pending
         spans = self._spans
         if spans.enabled:
             pending.span = spans.begin(self.pid, layer, f"rc:{port}", "queue", self.now)
         if self.coalesce_delay is None:
-            self._send_under(
-                pending.span, dst,
-                self._stamp(("DATA", self.incarnation, self._peer_incarnation.get(dst, 0), seq, port, payload)),
-                layer,
-            )
+            self._send_data(dst, self._peer_incarnation.get(dst, 0), pending, layer)
             if pending.span is not None:
                 # No coalescing wait on the direct path: zero queue time.
                 pending.span.end = self.now
@@ -231,28 +257,43 @@ class ReliableChannel(Component):
         for e in buffered:
             if e.span is not None:
                 e.span.end = now
-        if len(buffered) == 1:
-            entry = buffered[0]
-            self._send_under(
-                entry.span, dst,
-                self._stamp(("DATA", self.incarnation, self._peer_incarnation.get(dst, 0),
-                             entry.seq, entry.port, entry.payload)),
-                entry.layer,
-            )
+        if len(buffered) > 1:
+            self._inc_batches()
+            self._inc_coalesced(len(buffered) - 1)
+        self._send_segments(
+            dst, self._peer_incarnation.get(dst, 0), buffered, buffered[0].layer, split=True
+        )
+
+    def _send_segments(
+        self, dst: str, believed: int, entries: list[_Pending], layer: str, split: bool = False
+    ) -> None:
+        """Send ``entries`` as one DATA datagram, or as a BATCH if several.
+
+        With ``split``, a BATCH's datagram *count* goes to ``layer`` (one
+        wire message) but its *bytes* are split per segment — a
+        consensus-headed batch must not absorb the abcast payload bodies
+        packed behind it, or the ordering-vs-dissemination byte split is
+        noise.  Retransmissions are all ``rc`` and need no split.
+        """
+        if len(entries) == 1:
+            self._send_data(dst, believed, entries[0], layer)
             return
-        self._inc_batches()
-        self._inc_coalesced(len(buffered) - 1)
-        segments = tuple((e.seq, e.port, e.payload) for e in buffered)
-        # Datagram *count* goes to the first segment's layer (one wire
-        # message); *bytes* are split per segment — a consensus-headed
-        # batch must not absorb the abcast payload bodies packed behind
-        # it, or the ordering-vs-dissemination byte split is noise.
-        split = [(e.layer, payload_size(e.payload)) for e in buffered]
+        size = _BATCH_HEAD
+        for e in entries:
+            size += LEN_PREFIX + _segment_bytes(e)
         self._send_under(
-            buffered[0].span, dst,
-            self._stamp(("BATCH", self.incarnation, self._peer_incarnation.get(dst, 0), segments)),
-            buffered[0].layer,
-            byte_split=split,
+            entries[0].span, dst,
+            ("BATCH", self.incarnation, believed,
+             tuple((e.seq, e.port, e.payload) for e in entries)),
+            size, layer,
+            byte_split=[(e.layer, e.size) for e in entries] if split else None,
+        )
+
+    def _send_data(self, dst: str, believed: int, entry: _Pending, layer: str) -> None:
+        self._send_under(
+            entry.span, dst,
+            ("DATA", self.incarnation, believed, entry.seq, entry.port, entry.payload),
+            _DATA_HEAD + _segment_bytes(entry), layer,
         )
 
     def _send_under(
@@ -260,15 +301,21 @@ class ReliableChannel(Component):
         span: Any,
         dst: str,
         datagram: tuple,
+        size: int,
         layer: str,
         byte_split: list[tuple[str, int]] | None = None,
     ) -> None:
-        """``u_send`` with ``span`` as the ambient causal parent (if any),
-        so the datagram's transit span chains to the segment's queue span
-        — including for retransmissions long after the original send."""
+        """``u_send`` of ``datagram`` (``size`` = its ``wire_size``), with
+        the current hb-epoch header appended when the FD is wired, and
+        with ``span`` as the ambient causal parent (if any), so the
+        datagram's transit span chains to the segment's queue span —
+        including for retransmissions long after the original send."""
+        if self.hb_epoch_provider is not None:
+            datagram += (self.hb_epoch_provider(),)
+            size += INT_BYTES
         if span is None:
             self.world.u_send(
-                self.pid, dst, PORT, datagram, layer=layer, byte_split=byte_split
+                self.pid, dst, PORT, datagram, layer=layer, byte_split=byte_split, size=size
             )
             return
         spans = self._spans
@@ -276,7 +323,7 @@ class ReliableChannel(Component):
         spans._current = span
         try:
             self.world.u_send(
-                self.pid, dst, PORT, datagram, layer=layer, byte_split=byte_split
+                self.pid, dst, PORT, datagram, layer=layer, byte_split=byte_split, size=size
             )
         finally:
             spans._current = prev
@@ -284,8 +331,9 @@ class ReliableChannel(Component):
     def send_to_all(
         self, dsts: list[str], port: str, payload: Any, layer: str | None = None
     ) -> None:
+        size = payload_size(payload)
         for dst in dsts:
-            self.send(dst, port, payload, layer=layer)
+            self.send(dst, port, payload, layer=layer, size=size)
 
     def discard(self, dst: str) -> None:
         """Drop buffered messages for ``dst`` (after membership exclusion).
@@ -364,15 +412,11 @@ class ReliableChannel(Component):
             self._request_ack(src)
 
     def _send_ack(self, src: str) -> None:
-        self.world.u_send(
-            self.pid, src, PORT,
-            self._stamp((
-                "ACK",
-                self.incarnation,
-                self._peer_incarnation.get(src, 0),
-                self._next_expected.get(src, 0),
-            )),
-            layer="rc",
+        self._send_under(
+            None, src,
+            ("ACK", self.incarnation, self._peer_incarnation.get(src, 0),
+             self._next_expected.get(src, 0)),
+            _ACK_BYTES, "rc",
         )
 
     def _request_ack(self, src: str) -> None:
@@ -422,18 +466,15 @@ class ReliableChannel(Component):
             self._next_seq.pop(src, None)
             if pending:
                 entries = sorted(pending.values(), key=lambda p: p.seq)
-                self._outbox[src] = {
-                    seq: _Pending(seq, e.port, e.payload, self.now, e.layer, e.span)
+                renumbered = [
+                    _Pending(seq, e.port, e.payload, e.size, self.now, e.layer, e.span)
                     for seq, e in enumerate(entries)
-                }
+                ]
+                self._outbox[src] = {e.seq: e for e in renumbered}
                 self._next_seq[src] = len(entries)
                 self._peer_incarnation[src] = incarnation
-                for seq, e in enumerate(entries):
-                    self._send_under(
-                        e.span, src,
-                        self._stamp(("DATA", self.incarnation, incarnation, seq, e.port, e.payload)),
-                        e.layer,
-                    )
+                for e in renumbered:
+                    self._send_data(src, incarnation, e, e.layer)
         self._peer_incarnation[src] = incarnation
         return True
 
@@ -495,10 +536,10 @@ class ReliableChannel(Component):
             # it to skip the hole; re-sent on every stalled ACK, which
             # makes the notice loss-tolerant.
             self.world.metrics.counters.inc("rc.gap_notices")
-            self.world.u_send(
-                self.pid, src, PORT,
-                self._stamp(("GAP", self.incarnation, self._peer_incarnation.get(src, 0), floor)),
-                layer="rc",
+            self._send_under(
+                None, src,
+                ("GAP", self.incarnation, self._peer_incarnation.get(src, 0), floor),
+                _GAP_BYTES, "rc",
             )
 
     # ------------------------------------------------------------------
@@ -515,32 +556,14 @@ class ReliableChannel(Component):
             if self.coalesce_delay is None:
                 for entry in entries:
                     self._inc_retransmits()
-                    self._send_under(
-                        entry.span, dst,
-                        self._stamp(("DATA", self.incarnation, believed, entry.seq, entry.port, entry.payload)),
-                        "rc",
-                    )
+                    self._send_data(dst, believed, entry, "rc")
             else:
                 # Retransmissions batch too — they are pure channel
                 # overhead, so fewer datagrams is a direct win.
                 for i in range(0, len(entries), self.max_segment_batch):
                     chunk = entries[i:i + self.max_segment_batch]
                     self._inc_retransmits(len(chunk))
-                    if len(chunk) == 1:
-                        entry = chunk[0]
-                        self._send_under(
-                            entry.span, dst,
-                            self._stamp(("DATA", self.incarnation, believed,
-                                         entry.seq, entry.port, entry.payload)),
-                            "rc",
-                        )
-                    else:
-                        segments = tuple((e.seq, e.port, e.payload) for e in chunk)
-                        self._send_under(
-                            chunk[0].span, dst,
-                            self._stamp(("BATCH", self.incarnation, believed, segments)),
-                            "rc",
-                        )
+                    self._send_segments(dst, believed, chunk, "rc")
             age = self.now - oldest
             if age > self.stuck_timeout:
                 for listener in self._stuck_listeners:

@@ -136,6 +136,7 @@ class UnreliableTransport:
         payload: Any,
         layer: str = "other",
         byte_split: list[tuple[str, int]] | None = None,
+        size: int | None = None,
     ) -> None:
         """Best-effort send; may drop, delay or duplicate.
 
@@ -160,9 +161,15 @@ class UnreliableTransport:
         ``layer`` — otherwise a consensus-headed batch would absorb the
         payload bodies coalesced behind it and the ordering-vs-
         dissemination split would be noise.
+
+        ``size`` is ``wire_size(payload)`` when the caller already knows
+        it (the reliable channel computes its envelopes' sizes from their
+        parts, so a payload is walked once per send rather than once per
+        datagram); left out, the payload is walked here.
         """
         self._inc_sent()
-        size = wire_size(payload)
+        if size is None:
+            size = wire_size(payload)
         self._inc_bytes(size)
         inc_pid = self._pid_byte_handles.get(src)
         if inc_pid is None:

@@ -67,6 +67,12 @@ class Blob:
         return f"Blob({self.size})"
 
 
+#: Dataclass type -> its field names, filled on first sight of the type:
+#: ``dataclasses.fields`` rebuilds its tuple on every call, and MsgId /
+#: AppMessage are sized once per datagram.
+_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
+
+
 def payload_size(obj: Any) -> int:
     """Structural byte size of ``obj`` under a compact binary encoding.
 
@@ -114,10 +120,13 @@ def payload_size(obj: Any) -> int:
         return INT_BYTES
     if isinstance(obj, float):
         return FLOAT_BYTES
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+    names = _FIELD_NAMES.get(t)
+    if names is None and dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        names = _FIELD_NAMES[t] = tuple(f.name for f in dataclasses.fields(obj))
+    if names is not None:
         total = LEN_PREFIX
-        for field in dataclasses.fields(obj):
-            total += payload_size(getattr(obj, field.name))
+        for name in names:
+            total += payload_size(getattr(obj, name))
         return total
     return LEN_PREFIX + len(str(obj))
 

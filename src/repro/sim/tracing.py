@@ -18,12 +18,16 @@ Determinism contract: span ids are derived from incarnation-stamped
 message ids plus per-trace hop counters — never from RNG or the wall
 clock — and spans are recorded in scheduler execution order, so two runs
 of the same seeded scenario produce byte-identical
-:meth:`TraceLog.export_chrome` output.
+:meth:`TraceLog.export_chrome` output.  Root sampling keeps the contract:
+whether a trace is kept is a pure function of its id (a CRC-32, never
+``hash()``, which ``PYTHONHASHSEED`` perturbs), so a sampled run records
+exactly the spans of its full run whose trace passes the sample.
 """
 
 from __future__ import annotations
 
 import json
+import zlib
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
@@ -108,6 +112,25 @@ class Span:
         return f"Span({self.sid} {self.layer}/{self.name} [{self.start:.3f},{end}] parent={self.parent})"
 
 
+class _Unsampled(Span):
+    """Stand-in span for every trace the sample did not keep.
+
+    It travels exactly like a recorded span (ambient context, transit
+    spans of datagrams, timer contexts, reliable-channel segments), so
+    every descendant of an unsampled root is unsampled too instead of
+    starting a new root; it is never recorded and ignores notes.
+    """
+
+    __slots__ = ()
+
+    def note(self, **details: Any) -> None:
+        pass
+
+
+#: The one shared span of all unsampled traces.
+UNSAMPLED = _Unsampled("", "", None, "", "", "", "", 0.0)
+
+
 class SpanLog:
     """Causal span tree with ambient context propagation.
 
@@ -121,10 +144,23 @@ class SpanLog:
     ``str(MsgId)`` of the message that started it; other roots are keyed
     by a per-process root counter (``"p00.r3"``).  Hops within a trace
     append a per-trace counter (``"p00#5/2"``).
+
+    Root sampling: with ``sample=k`` a new trace is kept only when
+    ``zlib.crc32(trace_id) % k == 0``, decided once at its root.  An
+    unsampled trace costs no :class:`Span`, hop counter or details dict:
+    :meth:`begin` hands back the shared :data:`UNSAMPLED` span, whose
+    descendants are unsampled in turn.  Hop counters are per trace, so
+    a kept trace is span for span what the full (``sample=1``) run
+    records for it.
     """
 
-    def __init__(self, enabled: bool = True, max_spans: int | None = None) -> None:
+    def __init__(
+        self, enabled: bool = True, max_spans: int | None = None, sample: int = 1
+    ) -> None:
+        if sample < 1:
+            raise ValueError(f"span sample must be >= 1, got {sample}")
         self.enabled = enabled
+        self.sample = sample
         self.dropped = 0
         self._current: Span | None = None
         self._hops: dict[str, int] = {}
@@ -158,9 +194,12 @@ class SpanLog:
     ) -> Span:
         """Open a span.  ``parent`` defaults to the ambient current span;
         pass ``None`` to force a new root.  ``mid`` (a MsgId) keys a
-        message-rooted trace deterministically."""
+        message-rooted trace deterministically.  Returns
+        :data:`UNSAMPLED` inside a trace the sample does not keep."""
         if parent is _AMBIENT:
             parent = self._current
+        if parent is UNSAMPLED:
+            return parent
         if parent is None:
             if mid is not None:
                 trace = str(mid)
@@ -168,6 +207,8 @@ class SpanLog:
                 n = self._roots.get(pid, 0)
                 self._roots[pid] = n + 1
                 trace = f"{pid}.r{n}"
+            if self.sample > 1 and zlib.crc32(trace.encode()) % self.sample:
+                return UNSAMPLED
             # The root's sid is the trace id itself; hop counting starts
             # at 1 for its descendants.
             self._hops.setdefault(trace, 1)
@@ -319,7 +360,8 @@ class TraceLog:
 
     ``max_records`` switches the record store to a bounded ring buffer
     (oldest evicted, counted in :attr:`dropped`) so soak runs can keep
-    tracing enabled without unbounded growth.
+    tracing enabled without unbounded growth.  ``span_sample`` is the
+    span log's root sampling rate (see :class:`SpanLog`).
     """
 
     def __init__(
@@ -327,13 +369,14 @@ class TraceLog:
         enabled: bool = True,
         max_records: int | None = None,
         max_spans: int | None = None,
+        span_sample: int = 1,
     ) -> None:
         self.enabled = enabled
         self.max_records = max_records
         self.dropped = 0
         self.records: Any = [] if max_records is None else deque(maxlen=max_records)
         self._listeners: list[Subscription] = []
-        self.spans = SpanLog(enabled=enabled, max_spans=max_spans)
+        self.spans = SpanLog(enabled=enabled, max_spans=max_spans, sample=span_sample)
 
     def emit(self, time: float, pid: str, component: str, event: str, **details: Any) -> None:
         if not self.enabled:

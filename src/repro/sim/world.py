@@ -31,7 +31,13 @@ def make_pid(index: int) -> str:
 
 
 class World:
-    """Container for one deterministic simulation run."""
+    """Container for one deterministic simulation run.
+
+    ``span_sample`` keeps the causal spans of one trace in that many (by
+    a hash of the trace id, see ``repro.sim.tracing.SpanLog``) so that
+    tracing stays cheap enough to leave on; ``span_sample=1`` records
+    every trace, for full causal trees and critical paths.
+    """
 
     def __init__(
         self,
@@ -40,6 +46,7 @@ class World:
         trace_enabled: bool = True,
         trace_max_records: int | None = None,
         trace_max_spans: int | None = None,
+        span_sample: int = 16,
     ) -> None:
         self.seed = seed
         self.scheduler = Scheduler()
@@ -47,6 +54,7 @@ class World:
             enabled=trace_enabled,
             max_records=trace_max_records,
             max_spans=trace_max_spans,
+            span_sample=span_sample,
         )
         #: Causal span tree (see ``repro.sim.tracing.SpanLog``).
         self.spans = self.trace.spans
@@ -244,8 +252,11 @@ class World:
         payload: Any,
         layer: str = "other",
         byte_split: list[tuple[str, int]] | None = None,
+        size: int | None = None,
     ) -> None:
-        self.transport.u_send(src, dst, port, payload, layer=layer, byte_split=byte_split)
+        self.transport.u_send(
+            src, dst, port, payload, layer=layer, byte_split=byte_split, size=size
+        )
 
     def run_until(
         self,

@@ -89,8 +89,8 @@ def test_render_path_mentions_every_hop():
 
 
 def traced_run(seed: int) -> World:
-    """A short seeded abcast scenario with tracing on."""
-    world = World(seed=seed)
+    """A short seeded abcast scenario recording every causal span."""
+    world = World(seed=seed, span_sample=1)
     stacks = build_new_group(world, 3)
     apis = {pid: GroupCommunication(s) for pid, s in stacks.items()}
     world.start()

@@ -25,7 +25,7 @@ _MARKER_SLACK = 24
 
 
 def _traced_run(payload):
-    world = World(seed=17, default_link=LinkModel(1.0, 2.0))
+    world = World(seed=17, default_link=LinkModel(1.0, 2.0), span_sample=1)
     stacks = build_new_group(world, 3)
     world.start()
     for i in range(4):
