@@ -51,6 +51,11 @@ class AdaptiveMonitor(Monitor):
         timeout = mean + self.safety_factor * math.sqrt(variance) + self.margin
         return max(self.min_timeout, min(self.max_timeout, timeout))
 
+    def timeout_floor(self) -> float:
+        # Short history answers max_timeout; otherwise the clamp keeps the
+        # answer at min_timeout or above.
+        return min(self.min_timeout, self.max_timeout)
+
 
 def adaptive_monitor(
     detector: HeartbeatFailureDetector,

@@ -46,12 +46,22 @@ off, preserving the paper's constant heartbeat stream for comparison.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Callable
 
+from repro.net.wire import HEADER_BYTES, INT_BYTES, LEN_PREFIX
 from repro.sim.process import Component, Process
 
 PORT = "fd.hb"
+
+#: ``wire_size`` of a heartbeat's ``(incarnation, hb_epoch)`` payload: a
+#: two-int tuple, whatever the values.
+HEARTBEAT_BYTES = HEADER_BYTES + LEN_PREFIX + 2 * INT_BYTES
+
+#: Placed in ``Monitor._swept`` while a sweep runs (see ``Monitor._check``);
+#: equal to no peer list, so a nested poll always sweeps.
+_SWEEPING = object()
 
 PeerProvider = Callable[[], list[str]]
 SuspicionCallback = Callable[[str], None]
@@ -64,6 +74,14 @@ class Monitor:
     ``suspects`` is the current set of suspected peers; ``on_suspect`` /
     ``on_trust`` fire on transitions.  Monitors can be stopped (Fig. 9's
     ``start_stop_monitor``).
+
+    Heartbeat arrivals and beats :meth:`_poll` every monitor, but a full
+    :meth:`_check` sweep only runs when one could change a suspicion:
+    the monitor has suspects, its peer list changed, or the oldest
+    liveness baseline among its peers is at least :meth:`timeout_floor`
+    old.  ``last_heard`` only moves forward (a reincarnation, which pops
+    it, invalidates the cached sweep), so a sweep skipped on those
+    grounds would have found every peer in time and done nothing.
     """
 
     def __init__(
@@ -88,6 +106,11 @@ class Monitor:
         #: stale ``last_heard`` from before its crash would make the
         #: monitor re-suspect it the instant it re-enters the view.
         self._member_since: dict[str, float] = {}
+        #: The peer list the last complete sweep saw (None: sweep on the
+        #: next poll) and the oldest ``max(last_heard, member_since)``
+        #: among those peers at that sweep.
+        self._swept: list[str] | object | None = None
+        self._quiet_base = math.inf
 
     def stop(self) -> None:
         self.active = False
@@ -97,20 +120,52 @@ class Monitor:
         self._started_at = self._detector.now
         self.suspects.clear()
         self._member_since.clear()
+        self._swept = None
 
     def suspected(self, pid: str) -> bool:
         return pid in self.suspects
 
     def timeout_for(self, peer: str) -> float:
         """Current timeout applied to ``peer`` (constant here; adaptive
-        monitors override this)."""
+        monitors override this, and :meth:`timeout_floor` with it)."""
         return self.timeout
 
-    def _check(self) -> None:
+    def timeout_floor(self) -> float:
+        """A lower bound on :meth:`timeout_for` for every peer at any
+        instant — the silence the sweep guard of :meth:`_poll` waits for."""
+        return self.timeout
+
+    def _poll(self) -> None:
+        """Run :meth:`_check` unless it provably cannot change anything.
+
+        The guard compares ``now - quiet_base`` with the floor exactly as
+        the sweep compares ``now - last`` with a peer's timeout: float
+        subtraction is monotone and ``last >= quiet_base``, so a peer the
+        sweep would suspect always trips the guard too.
+        """
         if not self.active:
             return
+        if self.suspects or self._swept is None:
+            self._check()
+            return
+        raw = self._peers()
+        if (
+            raw != self._swept
+            or self._detector.now - self._quiet_base >= self.timeout_floor()
+        ):
+            self._check(raw)
+
+    def _check(self, raw: list[str] | None = None) -> None:
+        if not self.active:
+            return
+        if raw is None:
+            raw = self._peers()
+        # A restart, a reincarnation or a nested sweep run by a callback
+        # replaces the marker; the cache is then left invalid.
+        self._swept = _SWEEPING
+        quiet_base = math.inf
         now = self._detector.now
-        peers = set(self._peers())
+        peers = set(raw)
         peers.discard(self._detector.pid)
         # Peers that left the monitored set are forgotten — including
         # their membership baseline, so a later re-entry (rejoin after
@@ -124,6 +179,8 @@ class Monitor:
             last = self._detector.last_heard(peer)
             if last is None or last < since:
                 last = since
+            if last < quiet_base:
+                quiet_base = last
             silent_for = now - last
             if silent_for > self.timeout_for(peer):
                 if peer not in self.suspects:
@@ -136,6 +193,11 @@ class Monitor:
                 self._detector.trace("trust", peer=peer, timeout=self.timeout)
                 if self._on_trust is not None:
                     self._on_trust(peer)
+        if self._swept is _SWEEPING:
+            self._swept = list(raw)
+            self._quiet_base = quiet_base
+        else:
+            self._swept = None
 
 
 class HeartbeatFailureDetector(Component):
@@ -173,7 +235,6 @@ class HeartbeatFailureDetector(Component):
         # Bound handles: one increment per datagram-scale event — the
         # dominant background work in long runs.
         counters = process.world.metrics.counters
-        self._inc_heartbeats = counters.handle("fd.heartbeats_sent")
         self._inc_explicit = counters.handle("fd.explicit_hb")
         self._inc_suppressed = counters.handle("fd.suppressed")
         self._inc_tap = counters.handle("fd.tap_refreshes")
@@ -244,11 +305,12 @@ class HeartbeatFailureDetector(Component):
                     # period already proved our liveness to this peer.
                     self._inc_suppressed()
                     continue
-            self._inc_heartbeats()
             self._inc_explicit()
-            self.world.u_send(self.pid, peer, PORT, payload, layer="fd")
+            transport.u_send(
+                self.pid, peer, PORT, payload, layer="fd", size=HEARTBEAT_BYTES
+            )
         for mon in self._monitors:
-            mon._check()
+            mon._poll()
         self.schedule(self.heartbeat_interval, self._beat)
 
     def arrival_gaps(self, pid: str) -> list[float]:
@@ -279,6 +341,12 @@ class HeartbeatFailureDetector(Component):
             self._last_heard.pop(src, None)  # the outage gap is not a sample
             self._last_sample_time.pop(src, None)
             self._last_sample_epoch.pop(src, None)
+            # The peer's liveness baseline moved back, so cached sweeps no
+            # longer bound it.  Every caller re-sets ``last_heard`` before
+            # the next poll today; dropping the caches keeps the guard
+            # exact without relying on that order.
+            for mon in self._monitors:
+                mon._swept = None
             self.trace("reincarnated", peer=src, incarnation=incarnation)
             for listener in self._reincarnation_listeners:
                 listener(src, incarnation)
@@ -312,7 +380,7 @@ class HeartbeatFailureDetector(Component):
         self._note_sample(src, epoch)
         self._last_heard[src] = self.now
         for mon in self._monitors:
-            mon._check()
+            mon._poll()
 
     def _on_traffic(self, src: str, incarnation: int, port: str) -> None:
         """Transport liveness tap: any delivered datagram refreshes

@@ -37,12 +37,88 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable
 
+from repro.metrics.counters import Counters
 from repro.net.topology import LAN, LinkModel
 from repro.net.wire import wire_size
 from repro.sim.randomness import fork_rng
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
     from repro.sim.world import World
+
+
+class _SendTally:
+    """The transport's send counters, one record per ``(src, layer, port)``.
+
+    Each datagram counts towards six named counters: ``net.sent``,
+    ``net.bytes``, ``net.bytes.sent.<src>``, ``net.sent.<layer>``,
+    ``net.bytes.<layer>`` and ``net.sent.port.<port>``.  Rather than bump
+    all six, ``u_send`` adds to one ``[datagrams, bytes, bytes charged to
+    layer]`` record (and to ``split`` for BATCH segment bytes charged to
+    other layers); :meth:`fold` turns the records into the six counters
+    whenever :class:`~repro.metrics.counters.Counters` is read.
+    ``net.bytes.sent.<src>`` shows which process's NIC carried the load,
+    which the aggregate ``net.bytes`` cannot (a flood origin sending every
+    copy, say).
+    """
+
+    def __init__(self, counters: Counters) -> None:
+        self._values = counters._values
+        #: (src, layer, port) -> [datagrams, bytes, bytes charged to
+        #: ``layer``, and the names of the four per-key counters].
+        self.records: dict[tuple[str, str, str], list] = {}
+        #: segment layer -> BATCH segment bytes charged to it.
+        self.split: dict[str, int] = {}
+
+    def open(
+        self, src: str, layer: str, port: str, byte_split: list[tuple[str, int]] | None
+    ) -> list:
+        """The record for a key's first datagram.  Its counters are
+        created now, in the order the per-datagram bumps created them,
+        so snapshots list their keys as they always did."""
+        values = self._values
+        names = (
+            f"net.bytes.sent.{src}",
+            f"net.sent.{layer}",
+            f"net.bytes.{layer}",
+            f"net.sent.port.{port}",
+        )
+        for name in ("net.sent", "net.bytes", names[0], names[1]):
+            values[name] += 0
+        for seg_layer, _ in byte_split or ():
+            values[f"net.bytes.{seg_layer}"] += 0
+        values[names[2]] += 0
+        values[names[3]] += 0
+        record = self.records[(src, layer, port)] = [0, 0, 0, *names]
+        return record
+
+    def open_split(self, layer: str) -> None:
+        self._values[f"net.bytes.{layer}"] += 0
+        self.split[layer] = 0
+
+    def fold(self) -> None:
+        values = self._values
+        sent = sent_bytes = 0
+        for record in self.records.values():
+            count, size, own, by_src, by_layer, bytes_by_layer, by_port = record
+            if count:
+                sent += count
+                sent_bytes += size
+                values[by_src] += size
+                values[by_layer] += count
+                values[bytes_by_layer] += own
+                values[by_port] += count
+                record[0] = record[1] = record[2] = 0
+        if sent:
+            values["net.sent"] += sent
+            values["net.bytes"] += sent_bytes
+        for layer, size in self.split.items():
+            if size:
+                values[f"net.bytes.{layer}"] += size
+                self.split[layer] = 0
+
+    def forget(self) -> None:
+        self.records.clear()
+        self.split.clear()
 
 
 class UnreliableTransport:
@@ -54,25 +130,17 @@ class UnreliableTransport:
         self._links: dict[tuple[str, str], LinkModel] = {}
         self._rng = fork_rng(world.seed, "transport")
         self._spans = world.trace.spans
-        # Bound counter handles, resolved once: the three increments on
-        # the send path used to pay an f-string format per datagram.
+        # Bound counter handles, resolved once: the increments on the
+        # delivery path used to pay an f-string format per datagram.
         counters = world.metrics.counters
-        self._counters = counters
-        self._inc_sent = counters.handle("net.sent")
-        self._inc_bytes = counters.handle("net.bytes")
+        self._tally = _SendTally(counters)
+        counters.defer(self._tally)
         self._inc_delivered = counters.handle("net.delivered")
         self._inc_dropped_partition = counters.handle("net.dropped.partition")
         self._inc_dropped_loss = counters.handle("net.dropped.loss")
         self._inc_dropped_crashed = counters.handle("net.dropped.crashed")
         self._inc_duplicated = counters.handle("net.duplicated")
         self._inc_stale = counters.handle("net.stale_incarnation_dropped")
-        self._layer_handles: dict[str, Any] = {}
-        self._layer_byte_handles: dict[str, Any] = {}
-        #: Per-sender wire bytes (``net.bytes.sent.<pid>``): the
-        #: aggregate ``net.bytes`` cannot show which process's NIC
-        #: carried the load (e.g. a flood origin sending every copy).
-        self._pid_byte_handles: dict[str, Any] = {}
-        self._port_handles: dict[str, Any] = {}
         #: pid -> (incarnation at registration, sink).  One sink per
         #: process; re-registration (a recovered incarnation's fresh FD)
         #: overwrites, and the stored incarnation fences out callbacks
@@ -120,14 +188,6 @@ class UnreliableTransport:
     # ------------------------------------------------------------------
     # Datagram service
     # ------------------------------------------------------------------
-    def _byte_handle(self, layer: str) -> Any:
-        handle = self._layer_byte_handles.get(layer)
-        if handle is None:
-            handle = self._layer_byte_handles[layer] = self._counters.handle(
-                f"net.bytes.{layer}"
-            )
-        return handle
-
     def u_send(
         self,
         src: str,
@@ -167,36 +227,25 @@ class UnreliableTransport:
         parts, so a payload is walked once per send rather than once per
         datagram); left out, the payload is walked here.
         """
-        self._inc_sent()
         if size is None:
             size = wire_size(payload)
-        self._inc_bytes(size)
-        inc_pid = self._pid_byte_handles.get(src)
-        if inc_pid is None:
-            inc_pid = self._pid_byte_handles[src] = self._counters.handle(
-                f"net.bytes.sent.{src}"
-            )
-        inc_pid(size)
-        inc_layer = self._layer_handles.get(layer)
-        if inc_layer is None:
-            inc_layer = self._layer_handles[layer] = self._counters.handle(
-                f"net.sent.{layer}"
-            )
-        inc_layer()
+        tally = self._tally
+        record = tally.records.get((src, layer, port))
+        if record is None:
+            record = tally.open(src, layer, port, byte_split)
+        record[0] += 1
+        record[1] += size
         if byte_split is None:
-            self._byte_handle(layer)(size)
+            record[2] += size
         else:
+            split = tally.split
             accounted = 0
             for seg_layer, seg_bytes in byte_split:
-                self._byte_handle(seg_layer)(seg_bytes)
+                if seg_layer not in split:
+                    tally.open_split(seg_layer)
+                split[seg_layer] += seg_bytes
                 accounted += seg_bytes
-            self._byte_handle(layer)(size - accounted)
-        inc_port = self._port_handles.get(port)
-        if inc_port is None:
-            inc_port = self._port_handles[port] = self._counters.handle(
-                f"net.sent.port.{port}"
-            )
-        inc_port()
+            record[2] += size - accounted
         now = self.world.scheduler.now
         per_dst = self._last_sent.get(src)
         if per_dst is None:

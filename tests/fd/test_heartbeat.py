@@ -1,7 +1,11 @@
 """Unit tests for the heartbeat failure detector and its monitors."""
 
-from repro.fd.heartbeat import HeartbeatFailureDetector
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.fd.heartbeat import HEARTBEAT_BYTES, HeartbeatFailureDetector
 from repro.net.topology import LinkModel
+from repro.net.wire import wire_size
 from repro.sim.world import World
 
 from tests.conftest import run_until
@@ -99,3 +103,17 @@ def test_never_suspects_self():
     world.start()
     world.run_for(1_000.0)
     assert "p00" not in monitor.suspects
+
+
+@given(st.integers(0, 2**70), st.integers(0, 2**70))
+def test_heartbeat_size_is_the_wire_size_of_its_payload(incarnation, epoch):
+    assert HEARTBEAT_BYTES == wire_size((incarnation, epoch))
+
+
+def test_heartbeats_are_charged_their_wire_size():
+    world, fds = fd_world(count=2)
+    world.start()
+    world.run_for(100.0)
+    counters = world.metrics.counters
+    assert counters.get("fd.explicit_hb") > 0
+    assert counters.get("net.bytes.fd") == HEARTBEAT_BYTES * counters.get("fd.explicit_hb")

@@ -66,7 +66,7 @@ def test_suppressed_stack_fingerprint_is_byte_identical():
         }
         keep = (
             "net.sent", "net.delivered",
-            "fd.heartbeats_sent", "fd.explicit_hb", "fd.suppressed",
+            "fd.explicit_hb", "fd.suppressed",
             "fd.tap_refreshes", "fd.piggyback_samples",
         )
         counts = {k: world.metrics.counters.get(k) for k in keep}

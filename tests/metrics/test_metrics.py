@@ -4,10 +4,13 @@ import math
 
 import pytest
 
+from repro.core.new_stack import StackConfig, build_new_group
 from repro.metrics.counters import Counters
 from repro.metrics.latency import LatencyRecorder, LatencyStats, percentile
 from repro.metrics.recorder import IntervalTracker, MetricsRecorder
 from repro.net.message import MsgId
+from repro.net.topology import LinkModel
+from repro.net.wire import Blob, wire_size
 from repro.sim.world import World
 
 
@@ -239,3 +242,94 @@ def test_metrics_recorder_clear():
     assert m.counters.get("x") == 0
     assert m.latency.stats("t").count == 0
     assert m.intervals.open_count() == 0
+
+
+# ----------------------------------------------------------------------
+# The transport's send tally is folded into every read
+# ----------------------------------------------------------------------
+def _is_send_counter(name):
+    return name in ("net.sent", "net.bytes") or name.startswith(("net.sent.", "net.bytes."))
+
+
+def _expected_send_counters(sends):
+    """The six ``net.*`` send counters, bumped per datagram in send order."""
+    expected = {}
+
+    def bump(name, amount):
+        expected[name] = expected.get(name, 0) + amount
+
+    for src, layer, port, size, byte_split in sends:
+        bump("net.sent", 1)
+        bump("net.bytes", size)
+        bump(f"net.bytes.sent.{src}", size)
+        bump(f"net.sent.{layer}", 1)
+        accounted = 0
+        for seg_layer, seg_bytes in byte_split or ():
+            bump(f"net.bytes.{seg_layer}", seg_bytes)
+            accounted += seg_bytes
+        bump(f"net.bytes.{layer}", size - accounted)
+        bump(f"net.sent.port.{port}", 1)
+    return expected
+
+
+def test_every_read_folds_the_transport_send_tally():
+    world = World(seed=5, default_link=LinkModel(2.0, 4.0))
+    stacks = build_new_group(
+        world, 3, config=StackConfig(coalesce_delay=1.0, relay_policy="lazy")
+    )
+    counters = world.metrics.counters
+    bump_probes = counters.handle("test.probes")
+    sends = []
+    u_send = world.transport.u_send
+
+    def recording(src, dst, port, payload, layer="other", byte_split=None, size=None):
+        known = wire_size(payload) if size is None else size
+        sends.append((src, layer, port, known, list(byte_split) if byte_split else None))
+        u_send(src, dst, port, payload, layer=layer, byte_split=byte_split, size=size)
+
+    world.transport.u_send = recording
+    probes = {"reads": 0, "since_clear": 0}
+
+    def probe(clear=False):
+        expected = _expected_send_counters(sends)
+        for name, value in expected.items():
+            assert counters.get(name) == value
+            assert counters[name] == value
+        snapshot = counters.snapshot()
+        # Same values, and the keys in the order the sends created them.
+        assert [k for k in snapshot if _is_send_counter(k)] == list(expected)
+        assert {k: v for k, v in snapshot.items() if _is_send_counter(k)} == expected
+        assert counters.by_prefix("net.sent.port.") == {
+            k[len("net.sent.port."):]: v
+            for k, v in expected.items() if k.startswith("net.sent.port.")
+        }
+        assert counters.total("net.bytes.sent.") == expected.get("net.bytes", 0)
+        probes["reads"] += 1
+        probes["since_clear"] += 1
+        bump_probes()
+        if clear:
+            counters.clear()
+            assert counters.get("net.sent") == 0
+            assert not any(_is_send_counter(k) for k in counters.snapshot())
+            sends.clear()
+            probes["since_clear"] = 0
+
+    world.start()
+    for i in range(40):
+        pid = f"p0{i % 3}"
+        world.scheduler.at(
+            3.0 * i,
+            lambda p=pid, i=i: stacks[p].abcast.abcast(
+                stacks[p].process.msg_ids.message(("op", i, Blob(300)))
+            ),
+        )
+    for t in range(1, 200, 7):
+        world.scheduler.at(t + 0.5, probe, t == 99)
+    world.run_for(400.0)
+    probe()
+    assert probes["reads"] > 20
+    assert any(byte_split for *_, byte_split in sends)
+    # Handles outlive clear(): the transport's own (``net.delivered``),
+    # a test's, and the send tally (the final probe) all count on.
+    assert counters.get("net.delivered") > 0
+    assert counters.get("test.probes") == probes["since_clear"] > 0
