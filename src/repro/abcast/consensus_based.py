@@ -35,7 +35,10 @@ are flooded on suspicion and never pruned before *every* member's
 watermark covers them (plus the proposed-but-undecided retention pin) —
 is the eventual-delivery backstop; the PULL path is the targeted repair
 that closes the window quickly and serves processes rbcast never
-addressed (post-snapshot laggards).
+addressed (post-snapshot laggards).  The same repair serves other
+layers' bodies: generic broadcast's stage closures are id-only too, and
+a closure that names a ``CHK`` body a process lacks pulls it here (see
+:meth:`ConsensusAtomicBroadcast.serve_bodies`).
 
 Pipelining (Ring-Paxos-style windowing):  up to ``window`` consensus
 instances may be in flight concurrently, so a burst of broadcasts does
@@ -88,6 +91,33 @@ SERIAL_CLASSES = frozenset({"_gm.ctl"})
 
 AdeliverFn = Callable[[AppMessage], None]
 GroupProvider = Callable[[], list[str]]
+BodyLookup = Callable[[MsgId], AppMessage | None]
+BodySink = Callable[[AppMessage], None]
+
+
+class BodyCache:
+    """Bounded FIFO of recently delivered bodies.
+
+    A PULL responder serves laggards that ask after it already delivered
+    the body; ``limit`` bounds how far back it can help.
+    """
+
+    def __init__(self, limit: int) -> None:
+        self.limit = limit
+        self._bodies: dict[MsgId, AppMessage] = {}
+        self._order: deque[MsgId] = deque()
+
+    def add(self, message: AppMessage) -> None:
+        self._bodies[message.id] = message
+        self._order.append(message.id)
+        while len(self._order) > self.limit:
+            self._bodies.pop(self._order.popleft(), None)
+
+    def get(self, mid: MsgId) -> AppMessage | None:
+        return self._bodies.get(mid)
+
+    def __len__(self) -> int:
+        return len(self._bodies)
 
 
 class ConsensusAtomicBroadcast(Component):
@@ -134,16 +164,20 @@ class ConsensusAtomicBroadcast(Component):
         #: rbcast packet id that carried each still-pending body — the
         #: hook for the retention pin (see :meth:`rb_retention_pin`).
         self._rb_mid_of: dict[MsgId, MsgId] = {}
-        #: Recently a-delivered bodies, bounded FIFO: the PULL responder
-        #: serves laggards that ask after we already applied the batch.
-        self._bodies: dict[MsgId, AppMessage] = {}
-        self._body_order: deque[MsgId] = deque()
-        #: Active decide-before-dissemination repairs, keyed like the
-        #: decided batch; each tracks the decision's proposer, the ids
-        #: still missing locally, and the retry rotation position.
-        self._fetches: dict[tuple[int, int], dict[str, Any]] = {}
-        #: Union of all fetches' missing ids (fast rdeliver check).
+        #: Recently a-delivered bodies: the PULL responder serves
+        #: laggards that ask after we already applied the batch.
+        self._bodies = BodyCache(body_cache_limit)
+        #: Active repairs.  Our own decide-before-dissemination fetches
+        #: are keyed like the decided batch; another layer's are keyed
+        #: ``(owner, key)`` (see :meth:`pull_bodies`).  Each tracks its
+        #: owner (``None`` for ours), whom to ask first, the ids still
+        #: missing locally, and the retry rotation position.
+        self._fetches: dict[Any, dict[str, Any]] = {}
+        #: Union of our own fetches' missing ids (fast rdeliver check).
         self._waiting_on: set[MsgId] = set()
+        #: Other layers whose bodies the repair serves:
+        #: ``owner -> (lookup, sink)`` (see :meth:`serve_bodies`).
+        self._body_owners: dict[str, tuple[BodyLookup, BodySink]] = {}
         self._callbacks: list[AdeliverFn] = []
         self.delivered_log: list[AppMessage] = []
         rbcast.register(MSG_TAG, self._on_rdeliver, layer="abcast")
@@ -188,6 +222,38 @@ class ConsensusAtomicBroadcast(Component):
     def waiting_on(self) -> set[MsgId]:
         """Ids decided but not yet locally available (repair in flight)."""
         return set(self._waiting_on)
+
+    # ------------------------------------------------------------------
+    # PULL/PUSH repair for another layer's bodies
+    # ------------------------------------------------------------------
+    def serve_bodies(self, owner: str, lookup: BodyLookup, sink: BodySink) -> None:
+        """Extend the PULL/PUSH repair to ``owner``'s bodies.
+
+        ``lookup`` answers a peer's PULL for ``owner``'s ids (``None``
+        when the body is not here); ``sink`` receives each body a PUSH
+        brings back for :meth:`pull_bodies`.  Requests and replies for
+        ``owner`` name it as a third field; they share the port, the
+        first-ask-then-rotate order and the retry timer with ours.
+        """
+        self._body_owners[owner] = (lookup, sink)
+
+    def pull_bodies(
+        self, owner: str, key: Any, first_ask: str, missing: list[MsgId]
+    ) -> None:
+        """Fetch ``owner``'s ``missing`` bodies, asking ``first_ask`` first.
+
+        Retries rotate through the members until :meth:`body_arrived`
+        has covered every id or :meth:`cancel_pull` drops the request.
+        """
+        self._ensure_fetch((owner, key), first_ask, missing, owner)
+
+    def body_arrived(self, mid: MsgId) -> None:
+        """``mid``'s body is here (by rbcast or by PUSH): stop asking for it."""
+        self._note_arrived(mid)
+
+    def cancel_pull(self, owner: str, key: Any) -> None:
+        """Drop a :meth:`pull_bodies` request whose bodies are no longer needed."""
+        self._cancel_fetch((owner, key))
 
     # ------------------------------------------------------------------
     # rbcast retention pin (dissemination GC must respect ordering)
@@ -417,17 +483,23 @@ class ConsensusAtomicBroadcast(Component):
     # PULL/repair (decide-before-dissemination)
     # ------------------------------------------------------------------
     def _ensure_fetch(
-        self, key: tuple[int, int], proposer: str, missing: list[MsgId]
+        self,
+        key: Any,
+        proposer: str,
+        missing: list[MsgId],
+        owner: str | None = None,
     ) -> None:
         if key in self._fetches:
             return
         self._fetches[key] = {
+            "owner": owner,
             "proposer": proposer,
             "missing": set(missing),
             "attempt": 0,
         }
-        self._waiting_on.update(missing)
-        self.world.metrics.counters.inc("abcast.decide_before_dissemination")
+        if owner is None:
+            self._waiting_on.update(missing)
+            self.world.metrics.counters.inc("abcast.decide_before_dissemination")
         self.trace("fetch_start", key=str(key), missing=len(missing))
         self._send_pull(key)
 
@@ -445,7 +517,7 @@ class ConsensusAtomicBroadcast(Component):
             return [proposer] + others
         return others
 
-    def _send_pull(self, key: tuple[int, int]) -> None:
+    def _send_pull(self, key: Any) -> None:
         fetch = self._fetches.get(key)
         if fetch is None or not fetch["missing"]:
             return
@@ -454,12 +526,13 @@ class ConsensusAtomicBroadcast(Component):
             target = targets[fetch["attempt"] % len(targets)]
             fetch["attempt"] += 1
             self.world.metrics.counters.inc("abcast.pulls_sent")
-            self.channel.send(
-                target, PULL_PORT, ("PULL", tuple(sorted(fetch["missing"])))
-            )
+            request = ("PULL", tuple(sorted(fetch["missing"])))
+            if fetch["owner"] is not None:
+                request += (fetch["owner"],)
+            self.channel.send(target, PULL_PORT, request)
         self.schedule(self.pull_retry_interval, self._retry_pull, key)
 
-    def _retry_pull(self, key: tuple[int, int]) -> None:
+    def _retry_pull(self, key: Any) -> None:
         if key in self._fetches:
             self.world.metrics.counters.inc("abcast.pull_retries")
             self._send_pull(key)
@@ -473,27 +546,34 @@ class ConsensusAtomicBroadcast(Component):
                 # Fully repaired; the retry timer finds no entry and dies.
                 del self._fetches[key]
 
-    def _cancel_fetch(self, key: tuple[int, int]) -> None:
+    def _cancel_fetch(self, key: Any) -> None:
         fetch = self._fetches.pop(key, None)
-        if fetch is not None:
+        if fetch is not None and fetch["owner"] is None:
             self._waiting_on = set().union(
-                *(f["missing"] for f in self._fetches.values())
-            ) if self._fetches else set()
+                *(f["missing"] for f in self._fetches.values() if f["owner"] is None)
+            )
 
     def _cancel_all_fetches(self) -> None:
-        self._fetches.clear()
+        """Drop our own fetches; other layers' repairs are theirs to cancel."""
+        self._fetches = {
+            key: fetch for key, fetch in self._fetches.items() if fetch["owner"] is not None
+        }
         self._waiting_on.clear()
 
+    def _own_body(self, mid: MsgId) -> AppMessage | None:
+        body = self._pending.get(mid)
+        return body if body is not None else self._bodies.get(mid)
+
     def _on_pull_port(self, src: str, request: tuple) -> None:
-        kind = request[0]
+        kind, items, *owner = request
+        hooks = self._body_owners[owner[0]] if owner else None
         counters = self.world.metrics.counters
         if kind == "PULL":
+            lookup = hooks[0] if hooks else self._own_body
             found: list[AppMessage] = []
             misses = 0
-            for mid in request[1]:
-                body = self._pending.get(mid)
-                if body is None:
-                    body = self._bodies.get(mid)
+            for mid in items:
+                body = lookup(mid)
                 if body is None:
                     misses += 1
                 else:
@@ -503,10 +583,13 @@ class ConsensusAtomicBroadcast(Component):
                 counters.inc("abcast.pull_misses", misses)
             if found:
                 counters.inc("abcast.pull_served", len(found))
-                self.channel.send(src, PULL_PORT, ("PUSH", tuple(found)))
+                self.channel.send(src, PULL_PORT, ("PUSH", tuple(found), *owner))
+        elif hooks is not None:  # PUSH of another layer's bodies
+            for message in items:
+                hooks[1](message)
         elif kind == "PUSH":
             repaired = 0
-            for message in request[1]:
+            for message in items:
                 if message.id in self._delivered or message.id in self._pending:
                     continue
                 self._pending[message.id] = message
@@ -560,12 +643,6 @@ class ConsensusAtomicBroadcast(Component):
             self.consensus.abandon((INSTANCE_PREFIX, self._epoch, index))
             self._retire_proposal(index)
 
-    def _remember_body(self, message: AppMessage) -> None:
-        self._bodies[message.id] = message
-        self._body_order.append(message.id)
-        while len(self._body_order) > self.body_cache_limit:
-            self._bodies.pop(self._body_order.popleft(), None)
-
     def _deliver_batch(self, batch_ids: tuple[MsgId, ...]) -> list[AppMessage]:
         """Deliver the batch's not-yet-delivered ids in id order.
 
@@ -584,7 +661,7 @@ class ConsensusAtomicBroadcast(Component):
             self._delivered.add(mid)
             self._assigned.discard(mid)
             self._rb_mid_of.pop(mid, None)
-            self._remember_body(message)
+            self._bodies.add(message)
             self.world.metrics.counters.inc("abcast.delivered")
             self.world.metrics.latency.end("abcast", mid, self.now)
             self.delivered_log.append(message)

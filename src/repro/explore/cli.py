@@ -5,6 +5,11 @@ files::
 
     python -m repro explore --seeds 0:50 --budget-events 200000 --out repros/
 
+``--payload-bytes`` and ``--bytes-per-ms`` stress the byte path: every
+broadcast carries a body of that size and every link a bandwidth term::
+
+    python -m repro explore --seeds 0:120 --payload-bytes 4096 --bytes-per-ms 2000
+
 Replay mode re-executes a saved repro file and verifies the recorded
 failure reproduces byte-identically::
 
@@ -55,6 +60,20 @@ def build_parser() -> argparse.ArgumentParser:
         default=200_000,
         metavar="N",
         help="max simulator events per run (default 200000)",
+    )
+    parser.add_argument(
+        "--payload-bytes",
+        type=int,
+        default=None,
+        metavar="B",
+        help="give every broadcast a body of B bytes (default: small tuples)",
+    )
+    parser.add_argument(
+        "--bytes-per-ms",
+        type=float,
+        default=None,
+        metavar="R",
+        help="add a bandwidth term of R bytes/ms to every link (default: none)",
     )
     parser.add_argument(
         "--out",
@@ -129,6 +148,8 @@ def run_sweep(args: argparse.Namespace) -> int:
         out_dir=args.out,
         shrink=not args.no_shrink,
         progress=progress,
+        payload_bytes=args.payload_bytes,
+        bytes_per_ms=args.bytes_per_ms,
     )
     if args.json:
         print(

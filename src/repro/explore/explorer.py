@@ -50,10 +50,21 @@ LINK_PROFILES = (
 )
 
 
-def scenario_for_seed(seed: int, budget_events: int = 200_000) -> ScenarioConfig:
-    """Deterministically expand a seed into a (fault-free) scenario."""
+def scenario_for_seed(
+    seed: int,
+    budget_events: int = 200_000,
+    payload_bytes: int | None = None,
+    bytes_per_ms: float | None = None,
+) -> ScenarioConfig:
+    """Deterministically expand a seed into a (fault-free) scenario.
+
+    ``payload_bytes`` gives every broadcast a body of that many bytes
+    and ``bytes_per_ms`` puts a bandwidth term on every link; both are
+    applied after the seed's draws, so the rest of the scenario does
+    not change with them.
+    """
     rng = fork_rng(seed, "explore-scenario")
-    return ScenarioConfig(
+    config = ScenarioConfig(
         seed=seed,
         processes=rng.choice([3, 3, 4, 4, 5]),
         duration=rng.choice([1_200.0, 2_000.0]),
@@ -71,6 +82,11 @@ def scenario_for_seed(seed: int, budget_events: int = 200_000) -> ScenarioConfig
             consensus_fast_path=rng.choice([True, True, False]),
         ),
         budget_events=budget_events,
+    )
+    return replace(
+        config,
+        payload_bytes=payload_bytes,
+        link=replace(config.link, bytes_per_ms=bytes_per_ms),
     )
 
 
@@ -214,9 +230,14 @@ class SweepSummary:
         return not self.failures
 
 
-def explore_seed(seed: int, budget_events: int = 200_000) -> SeedReport:
+def explore_seed(
+    seed: int,
+    budget_events: int = 200_000,
+    payload_bytes: int | None = None,
+    bytes_per_ms: float | None = None,
+) -> SeedReport:
     """Probe, arm, and run one seed's adversarial schedule."""
-    base = scenario_for_seed(seed, budget_events=budget_events)
+    base = scenario_for_seed(seed, budget_events, payload_bytes, bytes_per_ms)
     instants = probe_instants(base)
     config = base.with_plan(adversarial_plan(base, instants))
     result, _world = run_scenario(config)
@@ -244,11 +265,13 @@ def sweep(
     shrink: bool = True,
     max_shrink_attempts: int = 80,
     progress=None,
+    payload_bytes: int | None = None,
+    bytes_per_ms: float | None = None,
 ) -> SweepSummary:
     """Explore every seed; shrink failures and write their repro files."""
     summary = SweepSummary()
     for seed in seeds:
-        report = explore_seed(seed, budget_events=budget_events)
+        report = explore_seed(seed, budget_events, payload_bytes, bytes_per_ms)
         if report.failed:
             invariant = report.result.violation["invariant"]
             final_config, final_result = report.config, report.result

@@ -230,6 +230,7 @@ def build_world(config: ScenarioConfig, trace: bool = False):
         delay_jitter=config.link.delay_jitter,
         drop_prob=config.link.drop_prob,
         dup_prob=config.link.dup_prob,
+        bytes_per_ms=config.link.bytes_per_ms,
     )
     stack_config = StackConfig(
         suspicion_timeout=config.stack.suspicion_timeout,

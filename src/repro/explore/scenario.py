@@ -39,6 +39,9 @@ class LinkConfig:
     delay_jitter: float = 1.0
     drop_prob: float = 0.0
     dup_prob: float = 0.0
+    #: Bandwidth term of :class:`repro.net.topology.LinkModel`: ``None``
+    #: keeps transit delay independent of datagram size.
+    bytes_per_ms: float | None = None
 
     def to_json_obj(self) -> dict:
         return {
@@ -46,6 +49,7 @@ class LinkConfig:
             "delay_jitter": self.delay_jitter,
             "drop_prob": self.drop_prob,
             "dup_prob": self.dup_prob,
+            "bytes_per_ms": self.bytes_per_ms,
         }
 
     @staticmethod

@@ -13,9 +13,9 @@ reference [1] buys with quorums.
 
 The price is a *gather* round at stage closure: a single process's acked
 set no longer suffices (it may miss messages fast-delivered elsewhere),
-so the closing process first collects the acked sets of ``n - f``
+so the closing process first collects the acked ids of ``n - f``
 members, each of which **freezes** its stage-k acking when it replies.
-A message *qualifies* for the closure set if it appears in at least
+A message *qualifies* for the closure set if its id appears in at least
 ``q - f`` of the collected sets:
 
 * (completeness) if some process fast-delivered m, at least q members
@@ -28,11 +28,16 @@ A message *qualifies* for the closure set if it appears in at least
   to deliver in deterministic order, exactly like the base algorithm's
   closure set.
 
-The qualifying set then rides atomic broadcast as the stage's
-``ENDSTAGE``; everything else (stage bump, re-acking, excluded-sender
-rule) is inherited from the base class.  Liveness additions: a frozen
-process that sees no closure within the fast-path timeout starts its own
-gather, so a crashed gatherer cannot wedge the stage.
+The qualifying ids then ride atomic broadcast as the stage's
+``ENDSTAGE(k, ids)``; everything else (the ordered-closure queue, apply
+when bodies are present, stage bump, re-acking, excluded-sender rule) is
+inherited from the base class.  The gatherer need not hold every
+qualifying body: like any process, it pulls what it lacks before the
+closure applies.  Gather messages are checked against the *ordered*
+stage: once ``ENDSTAGE(k)`` is adelivered, stage k takes no more
+gathers even while its closure waits for bodies.  Liveness additions: a
+frozen process that sees no closure within the fast-path timeout starts
+its own gather, so a crashed gatherer cannot wedge the stage.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ class QuorumGenericBroadcast(ThriftyGenericBroadcast):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self._gathering: dict[int, dict[str, dict[MsgId, AppMessage]]] = {}
+        self._gathering: dict[int, dict[str, tuple[MsgId, ...]]] = {}
         self._frozen_since: float | None = None
         self.register_port(GATHER_PORT, self._on_gather)
         self.register_port(GATHER_OK_PORT, self._on_gather_ok)
@@ -89,8 +94,8 @@ class QuorumGenericBroadcast(ThriftyGenericBroadcast):
     # ------------------------------------------------------------------
     def _close_stage(self, reason: str) -> None:
         stage = self._stage
-        if stage in self._gathering:
-            return  # already gathering for this stage
+        if stage != self._ordered_stage or stage in self._gathering:
+            return  # stage already closed in the total order, or gathering
         self._gathering[stage] = {}
         self.trace("gather_start", stage=stage, reason=reason)
         self.world.metrics.counters.inc("gbcast.gathers")
@@ -98,18 +103,20 @@ class QuorumGenericBroadcast(ThriftyGenericBroadcast):
             self.channel.send(member, GATHER_PORT, stage)
 
     def _on_gather(self, src: str, stage: int) -> None:
-        if stage != self._stage:
+        if stage != self._stage or stage != self._ordered_stage:
+            # Stale, or a stage ahead of ours: our acked set belongs to
+            # a stage whose closure is ordered but not applied here yet.
             return
         # Freeze: no more stage-k acks once our set is reported.
         if not self._frozen:
             self._frozen = True
             self._frozen_since = self.now
             self._arm_tick()  # frozen stages need the frozen-timeout watchdog
-        self.channel.send(src, GATHER_OK_PORT, (stage, dict(self._acked)))
+        self.channel.send(src, GATHER_OK_PORT, (stage, tuple(sorted(self._acked))))
 
     def _on_gather_ok(self, src: str, payload: tuple) -> None:
         stage, acked = payload
-        if stage != self._stage:
+        if stage != self._ordered_stage:
             return
         collection = self._gathering.get(stage)
         if collection is None:
@@ -122,21 +129,11 @@ class QuorumGenericBroadcast(ThriftyGenericBroadcast):
         # Qualifying set: present in >= quorum - f of the collected sets.
         threshold = self.ack_quorum() - self._f()
         counts: Counter[MsgId] = Counter()
-        contents: dict[MsgId, AppMessage] = {}
-        for acked_set in collection.values():
-            for mid, message in acked_set.items():
-                counts[mid] += 1
-                contents[mid] = message
-        qualifying = [
-            contents[mid] for mid, c in sorted(counts.items()) if c >= threshold
-        ]
+        for acked_ids in collection.values():
+            counts.update(acked_ids)
+        qualifying = tuple(mid for mid, c in sorted(counts.items()) if c >= threshold)
         del self._gathering[stage]
-        self.trace("endstage", stage=stage, reason="gather", size=len(qualifying))
-        self.world.metrics.counters.inc("gbcast.endstages")
-        endstage = AppMessage(
-            self.process.msg_ids.next(), self.pid, (stage, qualifying), ENDSTAGE_CLASS
-        )
-        self.abcast.abcast(endstage)
+        self._abcast_closure(stage, qualifying, "gather")
 
     # ------------------------------------------------------------------
     # Liveness: a frozen stage must not depend on one gatherer
@@ -167,7 +164,7 @@ class QuorumGenericBroadcast(ThriftyGenericBroadcast):
     def _on_adeliver(self, message: AppMessage) -> None:
         closing = (
             message.msg_class == ENDSTAGE_CLASS
-            and message.payload[0] == self._stage
+            and message.payload[0] == self._ordered_stage
             and message.sender in self.group_provider()
         )
         super()._on_adeliver(message)

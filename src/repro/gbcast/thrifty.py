@@ -15,10 +15,17 @@ Stage-based algorithm (see DESIGN.md §5 for the safety argument):
   arrive (no atomic broadcast involved).
 * A process that cannot ACK ``m`` (conflict), or that is nudged (ack
   timeout / failure suspicion), **closes the stage**: it atomically
-  broadcasts ``ENDSTAGE(k, acked_k)`` and freezes.  On the first
-  adelivered ``ENDSTAGE(k, S)`` from a current member, everyone delivers
-  the undelivered messages of ``S`` in a deterministic order, bumps to
-  stage ``k + 1`` and re-processes pending messages.
+  broadcasts ``ENDSTAGE(k, ids)``, the sorted ids of its stage-k acked
+  set, and freezes.  Closures carry ids, never bodies: a body crosses
+  the wire once, in its ``CHK`` rbcast, and a closure costs O(ids).
+* The first adelivered ``ENDSTAGE(k, ids)`` from a current member
+  freezes stage-k acking everywhere and is queued.  Queued closures
+  apply strictly in order, each **once its bodies are present**
+  (pending or already delivered): applying delivers the undelivered
+  ids in id order, bumps to stage ``k + 1`` and re-acks pending
+  messages.  A body still missing — its ``CHK`` is slow, or a joiner's
+  snapshot fenced it out — is pulled through abcast's PULL/PUSH repair
+  (``gbcast.closure_waits`` counts each wait).
 
 Invariants enforced (and tested property-style in
 ``tests/properties/test_gbcast_properties.py``):
@@ -40,18 +47,22 @@ Invariants enforced (and tested property-style in
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Callable
 
-from repro.abcast.consensus_based import ConsensusAtomicBroadcast
+from repro.abcast.consensus_based import BodyCache, ConsensusAtomicBroadcast
 from repro.broadcast.rbcast import ReliableBroadcast
 from repro.gbcast.conflict import AckedClassIndex, ConflictRelation
 from repro.net.message import AppMessage, MsgId
 from repro.net.reliable import ReliableChannel
 from repro.sim.process import Component, Process
+from repro.sim.scheduler import Timer
 
 CHK_TAG = "gb.chk"
 ACK_PORT = "gb.ack"
 ENDSTAGE_CLASS = "_gb.endstage"
+#: Owner name of the ``CHK`` bodies on abcast's PULL/PUSH repair.
+BODY_OWNER = "gbcast"
 
 GdeliverFn = Callable[[AppMessage], None]
 GroupProvider = Callable[[], list[str]]
@@ -87,8 +98,21 @@ class ThriftyGenericBroadcast(Component):
         self.ack_delay = ack_delay
         self.max_ack_batch = max(1, max_ack_batch)
         self._stage = 0
+        #: The stage the next adelivered closure must name: ``_stage``
+        #: plus the closures ordered but not yet applied.
+        self._ordered_stage = 0
         self._frozen = False
-        self._acked: dict[MsgId, AppMessage] = {}
+        #: Closures adelivered (so valid and in the total order) but not
+        #: yet applied, oldest first: ``(sender, ids)`` for stages
+        #: ``_stage``, ``_stage + 1``, ...
+        self._closures: deque[tuple[str, tuple[MsgId, ...]]] = deque()
+        #: Ids whose bodies the head closure waits on, and the timer that
+        #: starts pulling them (see :meth:`_await_bodies`).
+        self._awaited: set[MsgId] = set()
+        self._pull_timer: Timer | None = None
+        #: Recently delivered bodies, for peers that pull them.
+        self._bodies = BodyCache(abcast.body_cache_limit)
+        self._acked: set[MsgId] = set()
         #: Per-class view of ``_acked``: makes the ack conflict decision
         #: O(#conflicting classes) instead of a scan over every acked
         #: message.  Kept in lockstep with ``_acked`` (messages stay in
@@ -110,6 +134,7 @@ class ThriftyGenericBroadcast(Component):
         self.register_port(ACK_PORT, self._on_ack)
         rbcast.register(CHK_TAG, self._on_chk, layer="gbcast")
         abcast.on_adeliver(self._on_adeliver)
+        abcast.serve_bodies(BODY_OWNER, self._body, self._add_body)
 
     def start(self) -> None:
         self._arm_tick()
@@ -150,11 +175,25 @@ class ThriftyGenericBroadcast(Component):
     # Fast path
     # ------------------------------------------------------------------
     def _on_chk(self, _origin: str, message: AppMessage, _mid: MsgId) -> None:
+        self._add_body(message)
+
+    def _add_body(self, message: AppMessage) -> None:
+        """A body arrived, by its ``CHK`` rbcast or by PULL repair."""
         if message.id in self._delivered or message.id in self._pending:
             return
         self._pending[message.id] = message
         self._try_ack(message)
         self._close_if_suspects_block()
+        if message.id in self._awaited:
+            self._awaited.discard(message.id)
+            self.abcast.body_arrived(message.id)
+            if not self._awaited:
+                self._pull_timer.cancel()
+                self._apply_closures()
+
+    def _body(self, mid: MsgId) -> AppMessage | None:
+        body = self._pending.get(mid)
+        return body if body is not None else self._bodies.get(mid)
 
     def _suspects_block_fast_path(self) -> bool:
         """True when current suspicions make the fast path unreachable."""
@@ -177,7 +216,7 @@ class ThriftyGenericBroadcast(Component):
             self.world.metrics.counters.inc("gbcast.conflicts_detected")
             self._close_stage("conflict")
             return
-        self._acked[message.id] = message
+        self._acked.add(message.id)
         self._ack_index.add(message.msg_class)
         self._ack_times[message.id] = self.now
         for member in self.group_provider():
@@ -265,40 +304,87 @@ class ThriftyGenericBroadcast(Component):
         if self._frozen:
             return
         self._frozen = True
-        acked_msgs = [self._acked[mid] for mid in sorted(self._acked)]
-        self.trace("endstage", stage=self._stage, reason=reason, size=len(acked_msgs))
+        self._abcast_closure(self._stage, tuple(sorted(self._acked)), reason)
+
+    def _abcast_closure(self, stage: int, ids: tuple[MsgId, ...], reason: str) -> None:
+        self.trace("endstage", stage=stage, reason=reason, size=len(ids))
         self.world.metrics.counters.inc("gbcast.endstages")
         endstage = AppMessage(
-            self.process.msg_ids.next(), self.pid, (self._stage, acked_msgs), ENDSTAGE_CLASS
+            self.process.msg_ids.next(), self.pid, (stage, ids), ENDSTAGE_CLASS
         )
         self.abcast.abcast(endstage)
 
     def _on_adeliver(self, message: AppMessage) -> None:
         if message.msg_class != ENDSTAGE_CLASS:
             return
-        stage, acked_msgs = message.payload
-        if stage != self._stage:
-            return  # a closure for this stage was already processed
+        stage, ids = message.payload
+        if stage != self._ordered_stage:
+            return  # a closure for this stage was already ordered
         if message.sender not in self.group_provider():
             # Section 3 safety rule: stage closures from processes that
             # were excluded before this point in the total order are void.
             self.trace("endstage_ignored", sender=message.sender)
             return
-        for msg in sorted(acked_msgs, key=lambda m: m.id):
-            if msg.id not in self._delivered:
-                self._pending.setdefault(msg.id, msg)
-                self._deliver(msg, "closure")
-        self._stage += 1
-        self._frozen = False
-        self._acked.clear()
-        self._ack_index.clear()
-        self._ack_times.clear()
-        self._acks_received.clear()
-        # Re-process what is still pending under the new stage.
-        for mid in sorted(self._pending):
-            self._try_ack(self._pending[mid])
-        self._close_if_suspects_block()
-        self._arm_tick()
+        # Stage ``stage`` is closed in the total order: no more acks in
+        # it, even while its closure waits for bodies.
+        self._frozen = True
+        self._ordered_stage += 1
+        self._closures.append((message.sender, ids))
+        if len(self._closures) == 1:
+            self._apply_closures()
+        # Otherwise the head is waiting for bodies or being applied right
+        # now; this closure applies after it.
+
+    def _apply_closures(self) -> None:
+        """Apply queued closures in order while their bodies are present.
+
+        Applying the head delivers its undelivered ids in id order, bumps
+        the stage and re-acks the pending set.  A head that names a body
+        not received yet waits for it, from its ``CHK`` rbcast or from
+        the PULL repair, whichever lands first; everything queued behind
+        it waits too.
+        """
+        while self._closures:
+            sender, ids = self._closures[0]
+            missing = [
+                mid for mid in ids if mid not in self._pending and mid not in self._delivered
+            ]
+            if missing:
+                self._await_bodies(sender, missing)
+                return
+            for mid in sorted(ids):
+                if mid not in self._delivered:
+                    self._deliver(self._pending[mid], "closure")
+            self._closures.popleft()
+            self._stage += 1
+            self._frozen = bool(self._closures)
+            self._acked.clear()
+            self._ack_index.clear()
+            self._ack_times.clear()
+            self._acks_received.clear()
+            # Re-process what is still pending under the new stage.
+            for mid in sorted(self._pending):
+                self._try_ack(self._pending[mid])
+            self._close_if_suspects_block()
+            self._arm_tick()
+
+    def _await_bodies(self, sender: str, missing: list[MsgId]) -> None:
+        if self._awaited:
+            return  # already waiting for this head's bodies
+        self._awaited = set(missing)
+        self.world.metrics.counters.inc("gbcast.closure_waits")
+        self.trace("closure_wait", stage=self._stage, missing=len(missing))
+        # A missing CHK is usually just behind the closure (rbcast
+        # delivers it eventually); pull only if it is still missing one
+        # repair interval later, e.g. when a joiner's snapshot fenced it
+        # out.  The closer acked every id it names, so it held the
+        # bodies: ask it first.
+        self._pull_timer = self.schedule(
+            self.abcast.pull_retry_interval, self._pull_awaited, sender
+        )
+
+    def _pull_awaited(self, sender: str) -> None:
+        self.abcast.pull_bodies(BODY_OWNER, self._stage, sender, sorted(self._awaited))
 
     # ------------------------------------------------------------------
     # Delivery
@@ -308,6 +394,7 @@ class ThriftyGenericBroadcast(Component):
             return
         self._delivered.add(message.id)
         self._pending.pop(message.id, None)
+        self._bodies.add(message)
         # NOTE: the message stays in self._acked until the stage closes.
         # Removing it here would let a conflicting message be acked in
         # the same stage (its blocker gone) and ride a closure set ahead
@@ -339,10 +426,24 @@ class ThriftyGenericBroadcast(Component):
             "stage": self._stage,
             "delivered": set(self._delivered),
             "pending": dict(self._pending),
+            "closures": list(self._closures),
         }
 
     def install_snapshot(self, snapshot: dict) -> None:
+        if self._awaited:
+            self._pull_timer.cancel()
+            self.abcast.cancel_pull(BODY_OWNER, self._stage)
+            self._awaited = set()
         self._stage = snapshot["stage"]
+        # Closures the donor had ordered but not applied: the abcast
+        # position resumes past them, so they come from here.
+        self._closures = deque(snapshot["closures"])
+        self._ordered_stage = self._stage + len(self._closures)
+        if self._closures:
+            self._frozen = True
+            # Apply them once the whole snapshot is in, the application
+            # state included: what they deliver must land on top of it.
+            self.schedule(0.0, self._apply_closures)
         self._delivered = set(snapshot["delivered"])
         # Purge anything buffered before the snapshot arrived (rbcast may
         # have redelivered old, not-yet-stable packets to a joiner or a

@@ -111,3 +111,21 @@ def test_explored_seed_runs_clean_on_the_current_stack():
     report = explore_seed(0)
     assert report.result.violation is None
     assert report.result.converged
+
+
+def test_byte_flags_change_only_the_body_size_and_the_link_bandwidth():
+    from dataclasses import replace
+
+    from repro.explore.runner import build_world
+
+    plain = scenario_for_seed(7)
+    assert plain.payload_bytes is None and plain.link.bytes_per_ms is None
+    heavy = scenario_for_seed(7, payload_bytes=4096, bytes_per_ms=2000.0)
+    assert heavy == replace(
+        plain, payload_bytes=4096, link=replace(plain.link, bytes_per_ms=2000.0)
+    )
+    obj = heavy.to_json_obj()
+    assert obj["link"]["bytes_per_ms"] == 2000.0
+    assert ScenarioConfig.from_json_obj(obj) == heavy
+    world, _stacks, _panel = build_world(heavy)
+    assert world.transport.default_link.bytes_per_ms == 2000.0
