@@ -7,10 +7,14 @@ primary-change(s1).  The conflict relation admits exactly two outcomes —
 update ordered first, or change ordered first (update ignored, client
 retries) — and never a divergent mix.
 
-The race runs on classic three-phase consensus
-(``consensus_fast_path=False``): under the round-0 fast path the
-coordinator — here the primary — proposes before reading any estimate,
-so the update always wins and the change-first outcome never shows.  A second run on the default stack
+The servers start in the order s1 s2 s3 = p01 p02 p00, as after one
+earlier rotation, so that the race is decided by timing.  Generic
+broadcast's stage closer (the round-0 consensus coordinator) is the head
+of the group view, p00 = s3, a bystander: whichever message reaches it
+first is ordered first.  Were the primary at the view head, it would ack
+its own update before anything else arrived, and the update would win
+every race.  The race runs on classic three-phase consensus
+(``consensus_fast_path=False``); a second run on the default stack
 checks only the outcome-agnostic guarantee: no divergence, rotated view.
 """
 
@@ -23,6 +27,9 @@ from repro.sim.world import World
 
 SEEDS = range(30)
 CLASSIC = StackConfig(consensus_fast_path=False)
+#: s1, s2, s3, and the list after s1 is demoted: [s2; s3; s1].
+SERVERS = ["p01", "p02", "p00"]
+ROTATED = ("p02", "p00", "p01")
 
 
 def apply_kv(state, command):
@@ -36,12 +43,14 @@ def race(seed, config=None):
     world = World(seed=seed)
     stacks = build_new_group(world, 3, config=config, conflict=PASSIVE_REPLICATION)
     replicas = attach_passive_replicas(stacks, apply_kv, {})
+    for replica in replicas.values():
+        replica.server_list = list(SERVERS)
     world.start()
     world.run_for(50.0)
-    stacks["p00"].gbcast.gbcast_payload(
+    stacks["p01"].gbcast.gbcast_payload(
         ("update", 0, "client", 0, {"req": "done"}, ("stored", "req", "done")), UPDATE
     )
-    stacks["p01"].gbcast.gbcast_payload(("primary_change", "p00"), PRIMARY_CHANGE)
+    stacks["p02"].gbcast.gbcast_payload(("primary_change", "p01"), PRIMARY_CHANGE)
     assert world.run_until(
         lambda: all(r.epoch == 1 for r in replicas.values()), timeout=60_000
     )
@@ -54,8 +63,8 @@ def race(seed, config=None):
     )
     applied = {r.state.get("req") for r in replicas.values()}
     assert len(applied) == 1, "replicas diverged"
-    rotated_ok = all(tuple(r.server_list) == ("p01", "p02", "p00") for r in replicas.values())
-    still_member = all("p00" in s.membership.view for s in stacks.values())
+    rotated_ok = all(tuple(r.server_list) == ROTATED for r in replicas.values())
+    still_member = all("p01" in s.membership.view for s in stacks.values())
     outcome = "update-first" if applied.pop() == "done" else "change-first"
     return outcome, rotated_ok, still_member
 
@@ -85,8 +94,9 @@ def test_fig8_passive_replication(benchmark, capsys):
             "Shape: only the paper's two outcomes ever occur, both end with the "
             "rotated view [s2;s3;s1], the old primary stays in the membership, "
             "and the replicas never diverge (Sec. 3.2.3).  Runs on classic "
-            "consensus (consensus_fast_path=False): the round-0 fast path lets "
-            "the primary's update win every race."
+            "consensus (consensus_fast_path=False), with servers s1 s2 s3 = "
+            "p01 p02 p00: the stage closer (view head p00) is a bystander, so "
+            "arrival order at it decides the race."
         ),
     )
     assert outcomes["update-first"] > 0 and outcomes["change-first"] > 0

@@ -144,8 +144,17 @@ class ChandraTouegConsensus(Component):
         self._pre_propose_buffer: dict[InstanceKey, list[tuple[str, tuple]]] = {}
         self._decisions: dict[InstanceKey, Any] = {}
         self._callbacks: list[DecisionCallback] = []
+        # Consensus watches only the participants of undecided instances,
+        # so its peer list empties whenever it goes idle.  It keeps each
+        # peer's baseline across idle spells: a coordinator that crashed
+        # while consensus was idle is suspected once it has been silent
+        # for the timeout, not a full timeout after the next instance
+        # starts.
         self.monitor: Monitor = fd.monitor(
-            self._monitored_peers, suspicion_timeout, on_suspect=self._on_suspicion
+            self._monitored_peers,
+            suspicion_timeout,
+            on_suspect=self._on_suspicion,
+            keep_baselines=True,
         )
         self.register_port(PORT, self._on_message)
         rbcast.register(DECIDE_TAG, self._on_decide_broadcast, layer="consensus")

@@ -165,6 +165,7 @@ def run_sweep(args: argparse.Namespace) -> int:
                         for r in summary.failures
                     ],
                     "unconverged": [r.seed for r in summary.unconverged],
+                    "fallback_seeds": summary.fallback_seeds,
                     "ok": summary.ok,
                 },
                 sort_keys=True,
@@ -174,7 +175,8 @@ def run_sweep(args: argparse.Namespace) -> int:
         print(
             f"swept {len(summary.reports)} seeds: "
             f"{len(summary.failures)} violations, "
-            f"{len(summary.unconverged)} unconverged"
+            f"{len(summary.unconverged)} unconverged; "
+            f"{len(summary.fallback_seeds)} took the closer fallback"
         )
     return 0 if summary.ok else 1
 

@@ -7,7 +7,10 @@ not random noise: a fault-free **probe run** first harvests the
 boundaries, generic-broadcast stage edges and conflict detections,
 view-change ctl ops, abcast epoch bumps — and crashes, partitions and
 recoveries are aimed at those instants (with a little jitter), because
-that is where ordering and agreement bugs live.
+that is where ordering and agreement bugs live.  One dimension aims at
+the generic broadcast *closer* (the view head, the only member that
+closes a stage on conflict): it is crashed or muted while a conflict is
+open, then healed, so the other members must close the stage themselves.
 
 A violated invariant produces a **repro file**: seed, full scenario
 config, fault plan (shrunk to a minimal reproduction), the violated
@@ -90,24 +93,37 @@ def scenario_for_seed(
     )
 
 
-def probe_instants(config: ScenarioConfig) -> list[float]:
-    """Fault-free run of ``config``; returns the sorted distinct times of
-    protocol-sensitive trace events inside the workload window."""
+def _probe(config: ScenarioConfig):
+    """The fault-free (traced) run of ``config``."""
     probe = replace(config, plan=FaultPlan(), mutation=None)
     _result, world = run_scenario(probe, trace=True)
+    return world
+
+
+def _instants(world, config: ScenarioConfig, events) -> list[float]:
     instants: set[float] = set()
-    for component, event in SENSITIVE_EVENTS:
+    for component, event in events:
         for record in world.trace.select(component=component, event=event):
             if 1.0 <= record.time <= config.duration:
                 instants.add(record.time)
     return sorted(instants)
 
 
-def adversarial_plan(config: ScenarioConfig, instants: list[float]) -> FaultPlan:
+def probe_instants(config: ScenarioConfig) -> list[float]:
+    """Fault-free run of ``config``; returns the sorted distinct times of
+    protocol-sensitive trace events inside the workload window."""
+    return _instants(_probe(config), config, SENSITIVE_EVENTS)
+
+
+def adversarial_plan(
+    config: ScenarioConfig, instants: list[float], conflicts: list[float] | None = None
+) -> FaultPlan:
     """Aim crashes/partitions at sensitive instants, deterministically.
 
+    ``conflicts`` (default: ``instants``) are the instants a generic
+    broadcast conflict was detected at; the closer faults aim there.
     Keeps the group live: at most a strict minority is ever crashed, and
-    every partition heals well inside the exclusion timeout.
+    every partition and mute heals well inside the exclusion timeout.
     """
     rng = fork_rng(config.seed, "explore-plan")
     pids = [make_pid(i) for i in range(config.processes)]
@@ -137,6 +153,19 @@ def adversarial_plan(config: ScenarioConfig, instants: list[float]) -> FaultPlan
             FaultEvent(at=at, kind="partition", target=[mainland, sorted(island)])
         )
         events.append(FaultEvent(at=at + length, kind="heal"))
+
+    # The closer of a fault-free run is the initial view head.  Crash it
+    # (when that keeps the crashed set a minority) or mute its outbound
+    # links while a conflict is open, then heal it.
+    if rng.random() < 0.5:
+        closer = pids[0]
+        at = max(1.0, rng.choice(conflicts or instants) + rng.uniform(-3.0, 3.0))
+        length = rng.uniform(80.0, min(400.0, config.stack.exclusion_timeout * 0.4))
+        fault, heal = "mute", "unmute"
+        if closer not in victims and len(victims) < minority and rng.random() < 0.75:
+            fault, heal = "crash", "recover"
+        events.append(FaultEvent(at=at, kind=fault, target=closer))
+        events.append(FaultEvent(at=at + length, kind=heal, target=closer))
 
     return FaultPlan(sorted(events, key=lambda e: (e.at, e.kind)))
 
@@ -226,6 +255,11 @@ class SweepSummary:
         return [r for r in self.reports if not r.failed and not r.result.converged]
 
     @property
+    def fallback_seeds(self) -> list[int]:
+        """Seeds where a member closed a stage the closer left open."""
+        return [r.seed for r in self.reports if r.result.stats.get("fallback_closures")]
+
+    @property
     def ok(self) -> bool:
         return not self.failures
 
@@ -238,8 +272,10 @@ def explore_seed(
 ) -> SeedReport:
     """Probe, arm, and run one seed's adversarial schedule."""
     base = scenario_for_seed(seed, budget_events, payload_bytes, bytes_per_ms)
-    instants = probe_instants(base)
-    config = base.with_plan(adversarial_plan(base, instants))
+    world = _probe(base)
+    instants = _instants(world, base, SENSITIVE_EVENTS)
+    conflicts = _instants(world, base, (("gbcast", "conflict"),))
+    config = base.with_plan(adversarial_plan(base, instants, conflicts))
     result, _world = run_scenario(config)
     return SeedReport(seed=seed, config=config, result=result)
 

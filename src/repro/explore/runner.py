@@ -369,6 +369,7 @@ def run_scenario(config: ScenarioConfig, trace: bool = False):
         budget_exhausted=budget_exhausted,
         stats={
             "endstages": world.metrics.counters.get("gbcast.endstages"),
+            "fallback_closures": world.metrics.counters.get("gbcast.fallback_closures"),
             "views_installed": world.metrics.counters.get("gm.views_installed"),
             "recoveries": world.metrics.counters.get("world.recoveries"),
             "clamped_faults": world.metrics.counters.get("world.fault_past_clamped"),

@@ -27,7 +27,7 @@ from typing import Callable
 
 from repro.explore.scenario import ScenarioConfig
 from repro.sim.world import make_pid
-from repro.workload.generators import FaultEvent, FaultPlan
+from repro.workload.generators import PID_FAULTS, FaultEvent, FaultPlan
 
 Predicate = Callable[[ScenarioConfig], bool]
 
@@ -66,7 +66,7 @@ def restrict_plan(plan: FaultPlan, pids: set[str]) -> FaultPlan:
     groups to surviving members and drop degenerate partitions."""
     events: list[FaultEvent] = []
     for event in plan.events:
-        if event.kind in ("crash", "recover"):
+        if event.kind in PID_FAULTS:
             if event.target in pids:
                 events.append(event)
             continue

@@ -91,9 +91,11 @@ class Monitor:
         timeout: float,
         on_suspect: SuspicionCallback | None = None,
         on_trust: SuspicionCallback | None = None,
+        keep_baselines: bool = False,
     ) -> None:
         self._detector = detector
         self._peers = peers
+        self._keep_baselines = keep_baselines
         self.timeout = timeout
         self._on_suspect = on_suspect
         self._on_trust = on_trust
@@ -105,7 +107,20 @@ class Monitor:
         #: full timeout of grace from that moment — without this, a
         #: stale ``last_heard`` from before its crash would make the
         #: monitor re-suspect it the instant it re-enters the view.
+        #:
+        #: With ``keep_baselines``, the first sweep after a (re)start
+        #: takes a baseline for every member of the detector's group, and
+        #: a baseline survives its peer leaving ``peers``: only a
+        #: reincarnation of the peer restarts it.  A client whose peer
+        #: list comes and goes with its own work (consensus watches only
+        #: undecided instances) then measures a returning peer's silence
+        #: from its ``last_heard``, not from the moment the work resumed,
+        #: while a recovered process still gets a fresh grace period.
+        #: Every change of these baselines happens at a sweep the guard of
+        #: :meth:`_poll` never skips (the first one, one after a peer-list
+        #: change, one after a reincarnation).
         self._member_since: dict[str, float] = {}
+        self._seed_group = keep_baselines
         #: The peer list the last complete sweep saw (None: sweep on the
         #: next poll) and the oldest ``max(last_heard, member_since)``
         #: among those peers at that sweep.
@@ -120,6 +135,7 @@ class Monitor:
         self._started_at = self._detector.now
         self.suspects.clear()
         self._member_since.clear()
+        self._seed_group = self._keep_baselines
         self._swept = None
 
     def suspected(self, pid: str) -> bool:
@@ -172,8 +188,14 @@ class Monitor:
         # recovery) starts a fresh grace period.
         for gone in [p for p in self.suspects if p not in peers]:
             self.suspects.discard(gone)
-        for gone in [p for p in self._member_since if p not in peers]:
-            del self._member_since[gone]
+        if self._seed_group:
+            self._seed_group = False
+            for member in self._detector.peer_provider():
+                if member != self._detector.pid:
+                    self._member_since.setdefault(member, now)
+        elif not self._keep_baselines:
+            for gone in [p for p in self._member_since if p not in peers]:
+                del self._member_since[gone]
         for peer in sorted(peers):
             since = self._member_since.setdefault(peer, now)
             last = self._detector.last_heard(peer)
@@ -254,14 +276,16 @@ class HeartbeatFailureDetector(Component):
         timeout: float,
         on_suspect: SuspicionCallback | None = None,
         on_trust: SuspicionCallback | None = None,
+        keep_baselines: bool = False,
     ) -> Monitor:
-        """Create and start a monitor with its own timeout."""
+        """Create and start a monitor with its own timeout (see
+        ``Monitor._member_since`` for ``keep_baselines``)."""
         if isinstance(peers, list):
             fixed = list(peers)
             provider: PeerProvider = lambda: fixed
         else:
             provider = peers
-        mon = Monitor(self, provider, timeout, on_suspect, on_trust)
+        mon = Monitor(self, provider, timeout, on_suspect, on_trust, keep_baselines)
         self._monitors.append(mon)
         return mon
 
@@ -347,6 +371,8 @@ class HeartbeatFailureDetector(Component):
             # exact without relying on that order.
             for mon in self._monitors:
                 mon._swept = None
+                if mon._keep_baselines:
+                    mon._member_since.pop(src, None)
             self.trace("reincarnated", peer=src, incarnation=incarnation)
             for listener in self._reincarnation_listeners:
                 listener(src, incarnation)

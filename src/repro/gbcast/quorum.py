@@ -35,7 +35,14 @@ inherited from the base class.  The gatherer need not hold every
 qualifying body: like any process, it pulls what it lacks before the
 closure applies.  Gather messages are checked against the *ordered*
 stage: once ``ENDSTAGE(k)`` is adelivered, stage k takes no more
-gathers even while its closure waits for bodies.  Liveness additions: a
+gathers even while its closure waits for bodies.  Who gathers is
+inherited too: on a conflict only the stage closer (the view head, see
+:func:`repro.gbcast.thrifty.stage_closer`) starts a gather at once, and
+any other member freezes on the conflict and starts its own once the
+stage has stayed open for the fast-path timeout; suspicion and timeout
+closures start a gather on any member.  As in the base class this only
+decides who collects and sends a closure, and any member's qualifying
+set is a valid closure.  Liveness additions: a
 frozen process that sees no closure within the fast-path timeout starts
 its own gather, so a crashed gatherer cannot wedge the stage.
 """
@@ -97,6 +104,7 @@ class QuorumGenericBroadcast(ThriftyGenericBroadcast):
         if stage != self._ordered_stage or stage in self._gathering:
             return  # stage already closed in the total order, or gathering
         self._gathering[stage] = {}
+        self._conflict_since = None
         self.trace("gather_start", stage=stage, reason=reason)
         self.world.metrics.counters.inc("gbcast.gathers")
         for member in self.group_provider():
@@ -107,8 +115,9 @@ class QuorumGenericBroadcast(ThriftyGenericBroadcast):
             # Stale, or a stage ahead of ours: our acked set belongs to
             # a stage whose closure is ordered but not applied here yet.
             return
-        # Freeze: no more stage-k acks once our set is reported.
-        if not self._frozen:
+        # Freeze: no more stage-k acks once our set is reported.  A member
+        # already frozen on a conflict starts the watchdog here too.
+        if self._frozen_since is None:
             self._frozen = True
             self._frozen_since = self.now
             self._arm_tick()  # frozen stages need the frozen-timeout watchdog
@@ -141,24 +150,21 @@ class QuorumGenericBroadcast(ThriftyGenericBroadcast):
     def _tick_needed(self) -> bool:
         # Unlike the base class, a frozen quorum stage still needs the
         # tick: a crashed gatherer must not wedge the stage forever.
-        return bool(self._ack_times) or self._frozen
+        return self._waiting() or self._frozen
 
     def _timeout_tick(self) -> None:
         self._tick_armed = False
         self.world.metrics.counters.inc("gbcast.ticks")
-        if self._frozen:
+        if self._frozen_since is not None:
             stalled = (
-                self._frozen_since is not None
-                and self.now - self._frozen_since > self.fast_path_timeout
+                self.now - self._frozen_since > self.fast_path_timeout
                 and self._stage not in self._gathering
             )
             if stalled:
                 self._frozen_since = self.now
                 self._close_stage("frozen-timeout")
-        else:
-            deadline = self.now - self.fast_path_timeout
-            if any(t <= deadline for t in self._ack_times.values()):
-                self._close_stage("timeout")
+        elif self._may_close():
+            self._close_if_overdue()
         self._arm_tick()
 
     def _on_adeliver(self, message: AppMessage) -> None:

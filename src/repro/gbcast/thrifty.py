@@ -13,11 +13,28 @@ Stage-based algorithm (see DESIGN.md §5 for the safety argument):
   ``k`` — so each process's acked set is pairwise non-conflicting.
 * ``m`` is **fast-delivered** once ACKs from *all* current view members
   arrive (no atomic broadcast involved).
-* A process that cannot ACK ``m`` (conflict), or that is nudged (ack
-  timeout / failure suspicion), **closes the stage**: it atomically
-  broadcasts ``ENDSTAGE(k, ids)``, the sorted ids of its stage-k acked
-  set, and freezes.  Closures carry ids, never bodies: a body crosses
-  the wire once, in its ``CHK`` rbcast, and a closure costs O(ids).
+* A process that cannot ACK ``m`` (conflict) **closes the stage** if it
+  is the stage's *closer* (:func:`stage_closer`: the first member of
+  the current view, which is also the round-0 coordinator of every
+  consensus instance): it atomically broadcasts ``ENDSTAGE(k, ids)``,
+  the sorted ids of its stage-k acked set, and freezes.  Any other
+  member freezes too but only notes when it saw the conflict; if stage
+  ``k`` is still not closed in the total order ``fast_path_timeout``
+  later (the closer crashed, is muted, or never saw the conflict), its
+  timeout tick closes the stage itself.  A nudge (ack timeout, failure
+  suspicion) closes at once on any member, frozen on a conflict or not.
+  The freeze is what keeps per-sender FIFO (below): a member that kept
+  acking past a conflict could fast-deliver a sender's later message
+  before the closure delivers its earlier, conflicting one.  Closures carry ids, never
+  bodies: a body crosses the wire once, in its ``CHK`` rbcast, and a
+  closure costs O(ids).
+* The closer rule only decides who *sends* a closure: any member's
+  closure is valid, and every adelivered one is processed exactly as
+  before, so safety does not depend on it.  It saves the stale copies —
+  with every member closing, each conflict cost one ``ENDSTAGE`` per
+  member, each an rbcast flood and a consensus slot, and all but the
+  first ordered were void.  The round-0 coordinator is the closer
+  because it holds its own closure locally and so proposes it at once.
 * The first adelivered ``ENDSTAGE(k, ids)`` from a current member
   freezes stage-k acking everywhere and is queued.  Queued closures
   apply strictly in order, each **once its bodies are present**
@@ -66,6 +83,13 @@ BODY_OWNER = "gbcast"
 
 GdeliverFn = Callable[[AppMessage], None]
 GroupProvider = Callable[[], list[str]]
+
+
+def stage_closer(members: list[str]) -> str | None:
+    """The member that closes a stage on conflict: the head of the view,
+    which is also ``participants[0]``, the round-0 coordinator of every
+    consensus instance abcast starts in that view."""
+    return members[0] if members else None
 
 
 class ThriftyGenericBroadcast(Component):
@@ -119,6 +143,10 @@ class ThriftyGenericBroadcast(Component):
         #: both until the stage closes).
         self._ack_index = AckedClassIndex(conflict)
         self._ack_times: dict[MsgId, float] = {}
+        #: When this process (not the closer) froze on a conflict in the
+        #: current stage without closing it: the tick closes the stage
+        #: itself if it is still open ``fast_path_timeout`` later.
+        self._conflict_since: float | None = None
         self._acks_received: dict[MsgId, set[str]] = {}
         self._pending: dict[MsgId, AppMessage] = {}
         self._delivered: set[MsgId] = set()
@@ -153,10 +181,13 @@ class ThriftyGenericBroadcast(Component):
         self.world.metrics.latency.begin(
             f"gbcast.{message.msg_class}", message.id, self.now
         )
-        self.spans.wrap(
+        spans = self.spans
+        span = spans.wrap(
             self.pid, "gbcast", "gbcast", "send", self.now, message.id,
             self.rbcast.rbcast, CHK_TAG, message,
         )
+        if span is not None:
+            spans.remember_send(message.id, span)
 
     def gbcast_payload(self, payload, msg_class: str) -> AppMessage:
         """Convenience: wrap ``payload`` in a fresh message and g-broadcast."""
@@ -201,7 +232,7 @@ class ThriftyGenericBroadcast(Component):
         return bool(suspected)
 
     def _close_if_suspects_block(self) -> None:
-        if self._frozen or not self._pending:
+        if not self._may_close() or not self._pending:
             return
         if self._suspects_block_fast_path():
             self._close_stage("suspect")
@@ -214,7 +245,12 @@ class ThriftyGenericBroadcast(Component):
         if self._ack_index.clashes(message.msg_class):
             self.trace("conflict", mid=str(message.id), cls=message.msg_class)
             self.world.metrics.counters.inc("gbcast.conflicts_detected")
-            self._close_stage("conflict")
+            if stage_closer(self.group_provider()) == self.pid:
+                self._close_stage("conflict")
+            else:
+                self._frozen = True
+                self._conflict_since = self.now
+                self._arm_tick()
             return
         self._acked.add(message.id)
         self._ack_index.add(message.msg_class)
@@ -271,7 +307,7 @@ class ThriftyGenericBroadcast(Component):
     # ------------------------------------------------------------------
     def nudge(self) -> None:
         """External unblock request (failure suspicion from the stack)."""
-        if not self._frozen and self._pending:
+        if self._may_close() and self._pending:
             self._close_stage("nudge")
 
     def _tick_needed(self) -> bool:
@@ -280,9 +316,30 @@ class ThriftyGenericBroadcast(Component):
         Idle processes must not wake up: an unconditional re-arm every
         ``fast_path_timeout / 2`` inflates ``events_processed`` and slows
         every simulation for nothing.  The tick is re-armed from the
-        points where work appears (acking a message, unfreezing a stage).
+        points where work appears (acking a message, noting a conflict,
+        unfreezing a stage).
         """
-        return bool(self._ack_times) and not self._frozen
+        return self._waiting() and self._may_close()
+
+    def _may_close(self) -> bool:
+        """Neither closed by us nor closed in the total order yet: acking
+        is open, or frozen only on a conflict left to the closer."""
+        return not self._frozen or self._conflict_since is not None
+
+    def _waiting(self) -> bool:
+        """Acked messages not delivered yet, or a conflict left to the closer."""
+        return bool(self._ack_times) or self._conflict_since is not None
+
+    def _close_if_overdue(self) -> None:
+        """Close the stage once a noted conflict (the closer's closure
+        never came: the *fallback*) or an ack has waited
+        ``fast_path_timeout``."""
+        deadline = self.now - self.fast_path_timeout
+        if self._conflict_since is not None and self._conflict_since <= deadline:
+            self.world.metrics.counters.inc("gbcast.fallback_closures")
+            self._close_stage("fallback")
+        elif any(t <= deadline for t in self._ack_times.values()):
+            self._close_stage("timeout")
 
     def _arm_tick(self) -> None:
         if self._tick_armed or not self._tick_needed():
@@ -293,17 +350,15 @@ class ThriftyGenericBroadcast(Component):
     def _timeout_tick(self) -> None:
         self._tick_armed = False
         self.world.metrics.counters.inc("gbcast.ticks")
-        if not self._frozen:
-            deadline = self.now - self.fast_path_timeout
-            stuck = any(t <= deadline for t in self._ack_times.values())
-            if stuck:
-                self._close_stage("timeout")
+        if self._may_close():
+            self._close_if_overdue()
         self._arm_tick()
 
     def _close_stage(self, reason: str) -> None:
-        if self._frozen:
+        if not self._may_close():
             return
         self._frozen = True
+        self._conflict_since = None
         self._abcast_closure(self._stage, tuple(sorted(self._acked)), reason)
 
     def _abcast_closure(self, stage: int, ids: tuple[MsgId, ...], reason: str) -> None:
@@ -328,6 +383,7 @@ class ThriftyGenericBroadcast(Component):
         # Stage ``stage`` is closed in the total order: no more acks in
         # it, even while its closure waits for bodies.
         self._frozen = True
+        self._conflict_since = None
         self._ordered_stage += 1
         self._closures.append((message.sender, ids))
         if len(self._closures) == 1:
@@ -361,6 +417,7 @@ class ThriftyGenericBroadcast(Component):
             self._acked.clear()
             self._ack_index.clear()
             self._ack_times.clear()
+            self._conflict_since = None
             self._acks_received.clear()
             # Re-process what is still pending under the new stage.
             for mid in sorted(self._pending):
@@ -411,12 +468,23 @@ class ThriftyGenericBroadcast(Component):
         self.delivered_log.append((message, path))
         self.trace("gdeliver", mid=str(message.id), path=path, cls=message.msg_class)
         spans = self.spans
+        prev = spans.current()
         if spans.enabled:
+            # Record the delivery in the message's own trace.  Closures,
+            # the re-acks after them and reliable-channel batches run in
+            # the context of some other message; a delivery made there
+            # hangs off the message's send span instead.
+            send = spans.send_span(message.id)
+            if send is not None and (prev is None or prev.trace != send.trace):
+                spans.activate(send)
             spans.point(
                 self.pid, "gbcast", "gdeliver", "deliver", self.now, mid=message.id
             ).note(path=path)
-        for callback in self._callbacks:
-            callback(message)
+        try:
+            for callback in self._callbacks:
+                callback(message)
+        finally:
+            spans.restore(prev)
 
     # ------------------------------------------------------------------
     # State transfer support

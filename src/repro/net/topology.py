@@ -5,7 +5,8 @@ delays, message loss (below the reliable channel) and possible
 partitions.  :class:`LinkModel` parameterises one directed link;
 :class:`PartitionState` tracks which network components can currently
 exchange messages (used by the Phoenix scenario of Section 2.1.2 and by
-partition tests).
+partition tests) and which processes are *muted*: everything they send
+is lost while they still receive, a one-way partition.
 """
 
 from __future__ import annotations
@@ -71,6 +72,7 @@ class PartitionState:
 
     def __init__(self) -> None:
         self._component_of: dict[str, int] | None = None
+        self._muted: set[str] = set()
 
     def split(self, groups: list[list[str]]) -> None:
         mapping: dict[str, int] = {}
@@ -84,11 +86,21 @@ class PartitionState:
     def heal(self) -> None:
         self._component_of = None
 
+    def mute(self, pid: str) -> None:
+        """Cut every link out of ``pid``; its inbound links stay up."""
+        self._muted.add(pid)
+
+    def unmute(self, pid: str) -> None:
+        self._muted.discard(pid)
+
     @property
     def partitioned(self) -> bool:
         return self._component_of is not None
 
     def connected(self, a: str, b: str) -> bool:
+        """Can a datagram from ``a`` reach ``b`` now?"""
+        if self._muted and a in self._muted and a != b:
+            return False
         if self._component_of is None:
             return True
         ca = self._component_of.get(a)

@@ -165,6 +165,8 @@ class SpanLog:
         self._current: Span | None = None
         self._hops: dict[str, int] = {}
         self._roots: dict[str, int] = {}
+        #: Kept send spans by message id (see :meth:`remember_send`).
+        self._sends: dict[Any, Span] = {}
         self.max_spans = max_spans
         self.spans: Any = [] if max_spans is None else deque(maxlen=max_spans)
 
@@ -273,6 +275,23 @@ class SpanLog:
         span.end = now
         return span
 
+    def remember_send(self, mid: Any, span: Span) -> None:
+        """Note ``span`` as the send of message ``mid``, so a layer that
+        delivers ``mid`` under another message's context can still
+        record the delivery in ``mid``'s own trace (:meth:`send_span`).
+        Only kept spans are stored."""
+        if span is not UNSAMPLED:
+            self._sends.setdefault(mid, span)
+
+    def send_span(self, mid: Any) -> Span | None:
+        """The remembered send span of ``mid``; :data:`UNSAMPLED` when the
+        log samples and keeps none (the send's trace was dropped); None
+        in a full log that never saw the send (an injected message)."""
+        span = self._sends.get(mid)
+        if span is None and self.sample > 1:
+            return UNSAMPLED
+        return span
+
     def set_max_spans(self, max_spans: int | None) -> None:
         """Switch to (or resize) ring-buffer mode, keeping current spans."""
         self.max_spans = max_spans
@@ -333,6 +352,7 @@ class SpanLog:
         self.spans.clear()
         self._hops.clear()
         self._roots.clear()
+        self._sends.clear()
         self._current = None
         self.dropped = 0
 

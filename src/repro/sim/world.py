@@ -238,6 +238,22 @@ class World:
         else:
             self.scheduler.at(self._fault_time(at, "heal"), self.heal)
 
+    def mute(self, pid: str, at: float | None = None) -> None:
+        """Drop everything ``pid`` sends (it still receives) until
+        :meth:`unmute`."""
+        if at is None:
+            self.partitions.mute(pid)
+            self.trace.emit(self.now, "-", "world", "mute", target=pid)
+        else:
+            self.scheduler.at(self._fault_time(at, "mute"), self.mute, pid)
+
+    def unmute(self, pid: str, at: float | None = None) -> None:
+        if at is None:
+            self.partitions.unmute(pid)
+            self.trace.emit(self.now, "-", "world", "unmute", target=pid)
+        else:
+            self.scheduler.at(self._fault_time(at, "unmute"), self.unmute, pid)
+
     def alive(self) -> list[str]:
         return [pid for pid in self.pids() if not self.processes[pid].crashed]
 

@@ -133,13 +133,18 @@ def explore_mix(
     return spec.generate()
 
 
+#: Fault kinds whose target is one pid (a muted process sends nothing
+#: but still receives: a one-way partition of its outbound links).
+PID_FAULTS = ("crash", "recover", "mute", "unmute")
+
+
 @dataclass(frozen=True)
 class FaultEvent:
-    """A scheduled fault: crash / recover / partition / heal."""
+    """A scheduled fault: crash / recover / partition / heal / mute / unmute."""
 
     at: float
-    kind: str                       # "crash" | "recover" | "partition" | "heal"
-    target: Any = None              # pid for crash/recover, groups for partition
+    kind: str                       # a PID_FAULTS kind, "partition" or "heal"
+    target: Any = None              # pid for PID_FAULTS, groups for partition
 
     def to_json_obj(self) -> dict:
         obj: dict[str, Any] = {"at": self.at, "kind": self.kind}
@@ -151,7 +156,7 @@ class FaultEvent:
     def from_json_obj(obj: dict) -> "FaultEvent":
         kind = obj["kind"]
         target = obj.get("target")
-        if kind in ("crash", "recover") and not isinstance(target, str):
+        if kind in PID_FAULTS and not isinstance(target, str):
             raise ValueError(f"{kind} event needs a pid target, got {target!r}")
         if kind == "partition":
             if not isinstance(target, list):
@@ -279,6 +284,10 @@ class FaultPlan:
                 world.split(event.target, at=event.at)
             elif event.kind == "heal":
                 world.heal(at=event.at)
+            elif event.kind == "mute":
+                world.mute(event.target, at=event.at)
+            elif event.kind == "unmute":
+                world.unmute(event.target, at=event.at)
             else:
                 raise ValueError(f"unknown fault kind {event.kind!r}")
 

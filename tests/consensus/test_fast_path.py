@@ -190,18 +190,21 @@ def test_abandon_mid_round0_voids_the_instance_everywhere():
 #: Fingerprints recorded on the pre-fast-path tree for these exact
 #: configs (explore defaults leave ``consensus_fast_path`` off).  They
 #: cover failure-free serial, pipelined (w4) and partition+crash+recover
-#: schedules — multi-round consensus included.
+#: schedules — multi-round consensus included.  Re-recorded when only
+#: the stage closer began closing stages on conflict (fewer ENDSTAGEs,
+#: so a different schedule) and consensus began keeping its peers'
+#: suspicion baselines; the fast-path-off protocol itself is unchanged.
 SEED_FINGERPRINTS = {
     "failure_free_w1": (
         ScenarioConfig(seed=11, processes=3, duration=800.0, rate=20.0),
-        "415d0d43c2cc6302b8e0659112aac512af60d6a86aa15af1791095bc4d894a18",
+        "009a68009ebbf367c086b01b0745e6f62eb433a9ed44e4646c4c081976583d6a",
     ),
     "pipelined_w4": (
         ScenarioConfig(
             seed=23, processes=3, duration=800.0, rate=25.0,
             stack=StackKnobs(abcast_window=4),
         ),
-        "bb11c2d94c559a541bbf48fad48601f104d7436d5278aafd61aa5b83eef1ac25",
+        "eec80387c2a7545079d4254f4522b280a72ba4efcc36059aaeaabbc065d29e3f",
     ),
     "crash_recover": (
         ScenarioConfig(
@@ -213,7 +216,7 @@ SEED_FINGERPRINTS = {
                 FaultEvent(at=820.0, kind="recover", target="p01"),
             ]),
         ),
-        "d6243d19f34fc3e2063c358ff383310addb1f11d2def8edce1e98bcd9567ef55",
+        "ebe6022ca7b379daabf3f3de4a774fe1e3796e810b4cd9faae2b2f34e2cdf4bd",
     ),
 }
 

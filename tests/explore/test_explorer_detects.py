@@ -94,6 +94,7 @@ def test_probe_finds_protocol_sensitive_instants():
 
 
 def test_adversarial_plans_keep_the_group_live():
+    muted = 0
     for seed in range(12):
         config = scenario_for_seed(seed)
         plan = adversarial_plan(config, probe_instants(config))
@@ -105,6 +106,31 @@ def test_adversarial_plans_keep_the_group_live():
         for event in partitions:
             smallest = min(len(g) for g in event.target)
             assert smallest <= minority
+        # Mutes aim at the closer (the initial view head) and heal well
+        # inside the exclusion timeout.
+        mutes = [e for e in plan.events if e.kind == "mute"]
+        unmutes = [e for e in plan.events if e.kind == "unmute"]
+        assert [e.target for e in mutes] == [e.target for e in unmutes]
+        assert {e.target for e in mutes} <= {"p00"}
+        for mute, unmute in zip(mutes, unmutes):
+            assert mute.at < unmute.at <= mute.at + 0.4 * config.stack.exclusion_timeout
+        muted += len(mutes)
+    assert muted > 0
+
+
+def test_mute_events_name_one_pid_and_shrink_with_it():
+    from repro.explore.shrink import restrict_plan
+
+    with pytest.raises(ValueError):
+        FaultEvent.from_json_obj({"at": 1.0, "kind": "mute"})
+    plan = FaultPlan([
+        FaultEvent(at=10.0, kind="mute", target="p00"),
+        FaultEvent(at=20.0, kind="mute", target="p03"),
+        FaultEvent(at=90.0, kind="unmute", target="p00"),
+    ])
+    assert FaultPlan.from_json_obj(plan.to_json_obj()) == plan
+    kept = restrict_plan(plan, {"p00", "p01", "p02"})
+    assert [(e.kind, e.target) for e in kept.events] == [("mute", "p00"), ("unmute", "p00")]
 
 
 def test_explored_seed_runs_clean_on_the_current_stack():

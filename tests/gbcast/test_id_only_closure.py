@@ -166,10 +166,11 @@ def test_endstage_wire_size_does_not_depend_on_body_size(count):
 
 def test_ordered_traffic_sends_each_body_once_not_through_abcast():
     # The byte budget of the ordered path: 4 KiB bodies via
-    # GroupCommunication.abcast on bandwidth-limited links.  Each op
-    # closes a stage at every member, so abcast carries closures only;
-    # were bodies riding them again, the abcast layer would move several
-    # bodies per delivery.
+    # GroupCommunication.abcast on bandwidth-limited links.  Every op
+    # conflicts with the one before, so the closer closes a stage for
+    # every op or two (a closure may deliver two), and abcast carries
+    # closures only; were bodies riding them again, the abcast layer
+    # would move several bodies per delivery.
     world = World(seed=3, default_link=LinkModel(3.0, 8.0, bytes_per_ms=2000))
     stacks = build_new_group(world, 5)
     apis = {pid: GroupCommunication(stack) for pid, stack in stacks.items()}
@@ -186,5 +187,5 @@ def test_ordered_traffic_sends_each_body_once_not_through_abcast():
         )
     assert run_until(world, lambda: len(delivered) == ops * 5, timeout=30_000)
     counters = world.metrics.counters
-    assert counters.get("gbcast.endstages") >= ops
+    assert counters.get("gbcast.endstages") >= ops // 2
     assert counters.get("net.bytes.abcast") / len(delivered) < 4096

@@ -102,6 +102,24 @@ def test_partition_state_semantics():
     assert parts.connected("a", "c")
 
 
+def test_mute_cuts_outbound_links_only():
+    world = World(seed=6)
+    world.spawn(2)
+    probes = {pid: Probe(world.process(pid)) for pid in ("p00", "p01")}
+    world.mute("p00")
+    world.u_send("p00", "p01", "probe", "lost")
+    world.u_send("p01", "p00", "probe", "heard")
+    world.u_send("p00", "p00", "probe", "self")
+    world.run_for(50.0)
+    assert probes["p01"].payloads == []
+    assert probes["p00"].payloads == ["self", "heard"]
+    world.unmute("p00")
+    world.u_send("p00", "p01", "probe", "back")
+    world.run_for(50.0)
+    assert probes["p01"].payloads == ["back"]
+    assert world.metrics.counters.get("net.dropped.partition") == 1
+
+
 def test_partition_group_overlap_rejected():
     parts = PartitionState()
     with pytest.raises(ValueError):
